@@ -189,20 +189,43 @@ class EvalResult:
     confusion: np.ndarray  # rows = true class, cols = predicted
 
 
-def _as_input(epoch_values):
-    # stored epochs are (W, 3) rows of samples; the network wants (3, W)
-    return np.ascontiguousarray(epoch_values.T)
+# Epochs per forward pass outside training.  A chunk amortises numpy call
+# overhead; a bounded one keeps the activations alive at once to a few
+# MiB, where a whole recording's windows in one batch would take tens.
+EVAL_CHUNK = 32
+
+
+def _stack(epochs):
+    """One (B, 3, W) network input from epochs stored as (W, 3) rows."""
+    return np.stack([ep.values for ep in epochs]).transpose(0, 2, 1)
+
+
+def predict_proba(net: Network, epochs) -> np.ndarray:
+    """(N, 4) class probabilities for N epochs (eval mode), in chunks.
+
+    Every epoch must have the model window, or without a declared
+    window the length of the first epoch.
+    """
+    epochs = list(epochs)
+    window = net.input_len
+    for ep in epochs:
+        window = len(ep) if window is None else window
+        if len(ep) != window:
+            raise ContractError(
+                f"epoch length {len(ep)} does not match the model window {window}"
+            )
+    probs = np.empty((len(epochs), N_CLASSES))
+    for start in range(0, len(epochs), EVAL_CHUNK):
+        chunk = epochs[start : start + EVAL_CHUNK]
+        probs[start : start + len(chunk)] = softmax(
+            net.forward(_stack(chunk), train=False)
+        )
+    return probs
 
 
 def predict(net: Network, epoch):
     """Class probabilities and argmax label for one epoch (eval mode)."""
-    if net.input_len is not None and len(epoch) != net.input_len:
-        raise ContractError(
-            f"epoch length {len(epoch)} does not match the model window "
-            f"{net.input_len}"
-        )
-    scores = net.forward(_as_input(epoch.values), train=False)
-    probs = softmax(scores)
+    probs = predict_proba(net, [epoch])[0]
     return probs, KEY_MOVEMENTS[int(np.argmax(probs))]
 
 
@@ -211,10 +234,10 @@ def evaluate(net: Network, test_set) -> EvalResult:
     test_set = list(test_set)
     if not test_set:
         raise ContractError("cannot evaluate on an empty set")
+    predicted = predict_proba(net, [item.epoch for item in test_set]).argmax(axis=1)
+    truth = [label_index(item.label) for item in test_set]
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=int)
-    for item in test_set:
-        _, predicted = predict(net, item.epoch)
-        confusion[label_index(item.label), label_index(predicted)] += 1
+    np.add.at(confusion, (truth, predicted), 1)
     return EvalResult(
         accuracy=float(np.trace(confusion)) / len(test_set), confusion=confusion
     )
@@ -225,44 +248,38 @@ def train(net: Network, train_set, test_set, cfg: TrainConfig) -> TrainLog:
 
     Every training epoch re-augments each stored example once (the
     stored data is never mutated; the augmented view is what gets
-    batched), shuffles, and steps Adam on batch-averaged gradients.
-    Fully deterministic given (seed, data, config).  Raises
-    :class:`TrainingDiverged` on a non-finite loss.
+    batched) and shuffles.  Each mini-batch is one (B, 3, W) array
+    sent through one forward pass, one batch-mean loss and one
+    backward pass, whose gradients step Adam.  Dropout draws one mask
+    per layer per batch.  Fully deterministic given (seed, data,
+    config).  Raises :class:`TrainingDiverged` on a non-finite loss.
     """
     train_set, test_set = list(train_set), list(test_set)
     if not train_set or not test_set:
         raise ContractError("train and test sets must be non-empty")
     weights = np.asarray(cfg.class_weights, dtype=np.float64)
+    labels = np.array([label_index(ex.label) for ex in train_set])
     optimizer = Adam(lr=cfg.lr)
     params = net.parameters()
     log = TrainLog()
 
     for epoch_no in range(1, cfg.epochs + 1):
         rng = np.random.default_rng([cfg.seed, epoch_no])
-        view = [augment_shift(ex, cfg.augment_max_frac, rng) for ex in train_set]
+        view = [augment_shift(ex, cfg.augment_max_frac, rng).epoch for ex in train_set]
         order = rng.permutation(len(view))
 
         total_loss = 0.0
         correct = 0
         for batch_no, start in enumerate(range(0, len(order), cfg.batch_size)):
-            batch = [view[i] for i in order[start : start + cfg.batch_size]]
-            accum = {k: np.zeros_like(p) for k, p in params.items()}
-            for example in batch:
-                scores = net.forward(
-                    _as_input(example.epoch.values), train=True, rng=rng
-                )
-                loss, dscores = softmax_cross_entropy(
-                    scores, label_index(example.label), weights
-                )
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(epoch_no, batch_no)
-                total_loss += loss
-                correct += int(np.argmax(scores) == label_index(example.label))
-                for key, g in net.backward(dscores).items():
-                    accum[key] += g
-            for key in accum:
-                accum[key] /= len(batch)
-            optimizer.step(params, accum)
+            batch = order[start : start + cfg.batch_size]
+            targets = labels[batch]
+            scores = net.forward(_stack([view[i] for i in batch]), train=True, rng=rng)
+            loss, dscores = softmax_cross_entropy(scores, targets, weights)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(epoch_no, batch_no)
+            total_loss += loss * len(batch)
+            correct += int(np.sum(np.argmax(scores, axis=1) == targets))
+            optimizer.step(params, net.backward(dscores))
 
         result = evaluate(net, test_set)
         log.train_loss.append(total_loss / len(view))

@@ -14,6 +14,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .classifier import (
     ModelConfig,
@@ -21,10 +23,11 @@ from .classifier import (
     TrainLog,
     build_model,
     evaluate,
-    predict,
+    predict_proba,
     train,
 )
 from .dataset import (
+    KEY_MOVEMENTS,
     SplitConfig,
     extract_epochs,
     is_key_movement,
@@ -214,7 +217,6 @@ def _cmd_classify(args):
     input_len = _checkpoint_window(ckpt)
     rec = parse_recording(args.recording)
 
-    rows = []
     if args.mode == "segments":
         result = extract_epochs(rec, input_len)
         # mirror extract_epochs' selection so annotations align with epochs
@@ -223,23 +225,25 @@ def _cmd_classify(args):
             for a in rec.annotations
             if is_key_movement(a.label) and a.end - a.start >= 2
         ]
-        for ann, labelled in zip(key_anns, result.epochs):
-            probs, label = predict(ckpt.net, labelled.epoch)
-            rows.append((ann.start, ann.end, ann.label, label, probs))
+        spans = [(a.start, a.end, a.label) for a in key_anns]
+        epochs = [labelled.epoch for labelled in result.epochs]
     else:
-        for ep in window_series(rec.series, input_len, args.stride):
-            probs, label = predict(ckpt.net, ep)
-            rows.append((ep.offset, ep.offset + input_len, "", label, probs))
+        epochs = window_series(rec.series, input_len, args.stride)
+        spans = [(ep.offset, ep.offset + input_len, "") for ep in epochs]
+    probs = predict_proba(ckpt.net, epochs)
 
+    # 10 significant digits keep each row's printed probabilities summing
+    # to 1 within 1e-9; six digits left up to 2e-6
     lines = ["start_index,end_index,true_label,predicted,p_M1,p_M2,p_M3,p_M4"]
-    for start, end, truth, label, probs in rows:
+    for (start, end, truth), row in zip(spans, probs):
+        label = KEY_MOVEMENTS[int(np.argmax(row))]
         lines.append(
-            f"{start},{end},{truth},{label}," + ",".join(f"{p:.6g}" for p in probs)
+            f"{start},{end},{truth},{label}," + ",".join(f"{p:.10g}" for p in row)
         )
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        print(f"classified {len(rows)} epochs -> {args.out}")
+        print(f"classified {len(probs)} epochs -> {args.out}")
     else:
         print(text, end="")
     return 0

@@ -46,28 +46,48 @@ def save_checkpoint(path, net: Network, seed: int, extra: dict | None = None) ->
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; any malformed file raises InvalidDataError."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
         raise InvalidDataError(f"{path}: not a {MAGIC.decode()} checkpoint")
+    if len(raw) < 8:
+        raise InvalidDataError(f"{path}: truncated checkpoint header")
     (header_len,) = struct.unpack("<I", raw[4:8])
+    if 8 + header_len > len(raw):
+        raise InvalidDataError(f"{path}: header length {header_len} runs past the end")
     try:
         header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidDataError(f"{path}: corrupt checkpoint header: {exc}") from None
 
-    net = Network([layer_from_spec(spec) for spec in header["layers"]])
+    try:
+        seed = int(header["seed"])
+        net = Network([layer_from_spec(spec) for spec in header["layers"]])
+        manifest = [
+            (str(entry["key"]), tuple(int(d) for d in entry["shape"]))
+            for entry in header["params"]
+        ]
+        extra = dict(header.get("extra", {}))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InvalidDataError(
+            f"{path}: malformed checkpoint header: {exc!r}"
+        ) from None
+    if any(d < 0 for _, shape in manifest for d in shape):
+        raise InvalidDataError(f"{path}: negative dimension in the parameter manifest")
     offset = 8 + header_len
     bundle = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
+    for key, shape in manifest:
         count = int(np.prod(shape)) if shape else 1
         end = offset + 8 * count
         if end > len(raw):
             raise InvalidDataError(f"{path}: truncated parameter payload")
-        bundle[entry["key"]] = np.frombuffer(
-            raw[offset:end], dtype="<f8"
-        ).reshape(shape)
+        bundle[key] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape)
         offset = end
-    net.set_parameters(bundle)
-    return Checkpoint(net=net, seed=header["seed"], extra=header.get("extra", {}))
+    try:
+        net.set_parameters(bundle)
+    except (ValueError, IndexError) as exc:
+        raise InvalidDataError(
+            f"{path}: manifest does not fit the layers: {exc}"
+        ) from None
+    return Checkpoint(net=net, seed=seed, extra=extra)

@@ -3,7 +3,8 @@
 Every stochastic choice (dropout masks) is pinned by re-seeding the
 generator identically for each loss evaluation, so the loss is a
 deterministic function of the parameters and central differences are
-meaningful.
+meaningful.  ``x`` is a (B, C, L) batch and ``targets`` its B class
+indices; the loss checked is the batch mean the training loop uses.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import numpy as np
 from .loss import softmax_cross_entropy
 
 
-def _loss(net, x, target, class_weights, rng_seed):
+def _loss(net, x, targets, class_weights, rng_seed):
     rng = np.random.default_rng(rng_seed)
     scores = net.forward(x, train=True, rng=rng)
-    loss, _ = softmax_cross_entropy(scores, target, class_weights)
+    loss, _ = softmax_cross_entropy(scores, targets, class_weights)
     return loss
 
 
@@ -30,7 +31,7 @@ def max_relative_error(analytic: dict, numeric: dict) -> float:
     return worst
 
 
-def numeric_gradients(net, x, target, class_weights=None, h=1e-5, rng_seed=0):
+def numeric_gradients(net, x, targets, class_weights=None, h=1e-5, rng_seed=0):
     """Central-difference gradient of the loss for every parameter entry."""
     numeric = {}
     for key, p in net.parameters().items():
@@ -40,22 +41,22 @@ def numeric_gradients(net, x, target, class_weights=None, h=1e-5, rng_seed=0):
         for i in range(flat_p.size):
             orig = flat_p[i]
             flat_p[i] = orig + h
-            up = _loss(net, x, target, class_weights, rng_seed)
+            up = _loss(net, x, targets, class_weights, rng_seed)
             flat_p[i] = orig - h
-            down = _loss(net, x, target, class_weights, rng_seed)
+            down = _loss(net, x, targets, class_weights, rng_seed)
             flat_p[i] = orig
             flat_g[i] = (up - down) / (2.0 * h)
         numeric[key] = grad
     return numeric
 
 
-def gradient_check(net, x, target, class_weights=None, h=1e-5, rng_seed=0):
+def gradient_check(net, x, targets, class_weights=None, h=1e-5, rng_seed=0):
     """Compare analytic and numeric gradients; return the max relative error."""
     rng = np.random.default_rng(rng_seed)
     scores = net.forward(x, train=True, rng=rng)
-    _, dscores = softmax_cross_entropy(scores, target, class_weights)
+    _, dscores = softmax_cross_entropy(scores, targets, class_weights)
     analytic = {k: v.copy() for k, v in net.backward(dscores).items()}
     numeric = numeric_gradients(
-        net, x, target, class_weights=class_weights, h=h, rng_seed=rng_seed
+        net, x, targets, class_weights=class_weights, h=h, rng_seed=rng_seed
     )
     return max_relative_error(analytic, numeric)

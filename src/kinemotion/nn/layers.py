@@ -2,14 +2,17 @@
 
 Conventions
 -----------
-* Everything is float64; a single example at a time.
-* Convolutional-front-end activations are shaped (channels, length);
+* Everything is float64 and carries a leading batch axis B: a single
+  example is a batch of one.
+* Convolutional-front-end activations are shaped (B, channels, length);
   the LSTM consumes that layout directly and emits its final hidden
-  state as a flat vector for the dense head.
+  state as (B, hidden) for the dense head, which returns (B, out).
 * ``forward(x, train=..., rng=...)`` caches whatever the matching
   ``backward(dout)`` needs; backward must follow a forward on the same
   instance and returns the gradient w.r.t. the layer input while
-  filling ``self.grads`` (same keys/shapes as ``self.params``).
+  filling ``self.grads`` (same keys/shapes as ``self.params``), summed
+  over the batch.  The loss divides by B, so the sum is the gradient
+  of the batch-mean loss.
 """
 
 from __future__ import annotations
@@ -25,12 +28,7 @@ def _he_uniform(rng, shape, fan_in):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return 0.5 * (1.0 + np.tanh(z / 2.0))
 
 
 class Layer:
@@ -55,7 +53,7 @@ class Layer:
 
 
 class Conv1D(Layer):
-    """Valid (no padding) 1-D convolution over (channels, length) input."""
+    """Valid (no padding) 1-D convolution over (B, channels, length) input."""
 
     def __init__(self, in_channels, out_channels, kernel, stride=1, rng=None):
         super().__init__()
@@ -82,37 +80,37 @@ class Conv1D(Layer):
         return (length - self.kernel) // self.stride + 1
 
     def forward(self, x, train=False, rng=None):
-        if x.ndim != 2 or x.shape[0] != self.in_channels:
-            self._shape_error(x.shape, f"({self.in_channels}, L)")
-        length = x.shape[1]
+        if x.ndim != 3 or x.shape[1] != self.in_channels:
+            self._shape_error(x.shape, f"(B, {self.in_channels}, L)")
+        length = x.shape[2]
         l_out = self.out_length(length)
         if l_out < 1:
             raise ContractError(
                 f"{self!r}: input length {length} shorter than kernel {self.kernel}"
             )
-        # cols[c, j, t] = x[c, t*stride + j]
+        # cols[b, c*K + j, t] = x[b, c, t*stride + j]
         idx = np.arange(self.kernel)[:, None] + self.stride * np.arange(l_out)[None, :]
-        cols = x[:, idx]
-        out = (
-            np.tensordot(self.params["w"], cols, axes=([1, 2], [0, 1]))
-            + self.params["b"][:, None]
-        )
+        cols = x[:, :, idx].reshape(x.shape[0], -1, l_out)
+        w = self.params["w"].reshape(self.out_channels, -1)
         self._cache = (cols, x.shape)
+        out = w @ cols
+        out += self.params["b"][:, None]
         return out
 
     def backward(self, dout):
         cols, in_shape = self._cache
         w = self.params["w"]
-        flat = cols.reshape(self.in_channels * self.kernel, -1)  # (C*K, T)
         self.grads = {
-            "w": (dout @ flat.T).reshape(w.shape),
-            "b": dout.sum(axis=1),
+            "w": np.tensordot(dout, cols, axes=([0, 2], [0, 2])).reshape(w.shape),
+            "b": dout.sum(axis=(0, 2)),
         }
-        dcols = (w.reshape(self.out_channels, -1).T @ dout).reshape(cols.shape)
+        l_out = dout.shape[2]
+        dcols = (w.reshape(self.out_channels, -1).T @ dout).reshape(
+            in_shape[0], self.in_channels, self.kernel, l_out
+        )
         dx = np.zeros(in_shape)
-        l_out = dout.shape[1]
         for j in range(self.kernel):
-            dx[:, j : j + l_out * self.stride : self.stride] += dcols[:, j, :]
+            dx[:, :, j : j + l_out * self.stride : self.stride] += dcols[:, :, j, :]
         return dx
 
     def spec(self):
@@ -131,7 +129,7 @@ class ReLU(Layer):
 
     def forward(self, x, train=False, rng=None):
         self._cache = x > 0
-        return np.where(self._cache, x, 0.0)
+        return np.maximum(x, 0.0)
 
     def backward(self, dout):
         self.grads = {}
@@ -157,28 +155,35 @@ class MaxPool1D(Layer):
     def out_length(self, length):
         return (length - self.kernel) // self.stride + 1
 
+    def _tap(self, x, j, l_out):
+        """x[b, c, t*stride + j] for t < l_out: window position j, as a view."""
+        return x[:, :, j : j + l_out * self.stride : self.stride]
+
     def forward(self, x, train=False, rng=None):
-        if x.ndim != 2:
-            self._shape_error(x.shape, "(C, L)")
-        l_out = self.out_length(x.shape[1])
+        if x.ndim != 3:
+            self._shape_error(x.shape, "(B, C, L)")
+        l_out = self.out_length(x.shape[2])
         if l_out < 1:
             raise ContractError(
-                f"{self!r}: input length {x.shape[1]} shorter than kernel"
+                f"{self!r}: input length {x.shape[2]} shorter than kernel"
             )
-        idx = self.stride * np.arange(l_out)[:, None] + np.arange(self.kernel)[None, :]
-        windows = x[:, idx]  # (C, l_out, k)
-        arg = windows.argmax(axis=2)  # first max wins ties
-        out = np.take_along_axis(windows, arg[:, :, None], axis=2)[:, :, 0]
-        self._cache = (arg, x.shape)
+        out = self._tap(x, 0, l_out)
+        for j in range(1, self.kernel):
+            out = np.maximum(out, self._tap(x, j, l_out))
+        self._cache = (x, out)
         return out
 
     def backward(self, dout):
-        arg, in_shape = self._cache
+        x, out = self._cache
         self.grads = {}
-        dx = np.zeros(in_shape)
-        channels = np.arange(in_shape[0])[:, None]
-        positions = self.stride * np.arange(dout.shape[1])[None, :] + arg
-        np.add.at(dx, (channels, positions), dout)
+        dx = np.zeros(x.shape)
+        l_out = out.shape[2]
+        unrouted = np.ones(out.shape, dtype=bool)
+        for j in range(self.kernel):
+            # the earliest position holding the max takes the gradient
+            hit = (self._tap(x, j, l_out) == out) & unrouted
+            unrouted &= ~hit
+            self._tap(dx, j, l_out)[...] += dout * hit
         return dx
 
     def spec(self):
@@ -186,7 +191,10 @@ class MaxPool1D(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: scales by 1/(1-p) in train mode, identity in eval."""
+    """Inverted dropout: scales by 1/(1-p) in train mode, identity in eval.
+
+    One mask is drawn per call, covering the whole batch.
+    """
 
     def __init__(self, p):
         super().__init__()
@@ -216,12 +224,14 @@ class Dropout(Layer):
 
 
 class LSTM(Layer):
-    """Unidirectional LSTM over a (features, timesteps) activation map.
+    """Unidirectional LSTM over a (B, features, timesteps) activation map.
 
     Processes timesteps left to right from zero initial state and
-    returns the final hidden state; gate pre-activations are packed
-    [input, forget, candidate, output].  Initial weights are uniform
-    +-1/sqrt(fan_in) and the forget-gate bias starts at 1.
+    returns the final hidden state (B, hidden); gate pre-activations
+    are packed [input, forget, candidate, output].  The input
+    projection of every timestep is one matrix product; only the
+    recurrent (B, 4H) product runs per step.  Initial weights are
+    uniform +-1/sqrt(fan_in) and the forget-gate bias starts at 1.
     """
 
     def __init__(self, input_size, hidden_size, rng=None):
@@ -246,62 +256,61 @@ class LSTM(Layer):
         return f"LSTM({self.input_size}->{self.hidden_size})"
 
     def forward(self, x, train=False, rng=None):
-        if x.ndim != 2 or x.shape[0] != self.input_size:
-            self._shape_error(x.shape, f"({self.input_size}, T)")
-        if x.shape[1] == 0:
+        if x.ndim != 3 or x.shape[1] != self.input_size:
+            self._shape_error(x.shape, f"(B, {self.input_size}, T)")
+        if x.shape[2] == 0:
             raise ContractError(f"{self!r}: empty input sequence")
-        h_size = self.hidden_size
-        wx, wh, b = self.params["wx"], self.params["wh"], self.params["b"]
-        h = np.zeros(h_size)
-        c = np.zeros(h_size)
-        steps = []
-        for t in range(x.shape[1]):
-            x_t = x[:, t]
-            gates = x_t @ wx + h @ wh + b
-            i = _sigmoid(gates[:h_size])
-            f = _sigmoid(gates[h_size : 2 * h_size])
-            g = np.tanh(gates[2 * h_size : 3 * h_size])
-            o = _sigmoid(gates[3 * h_size :])
-            c_new = f * c + i * g
-            tanh_c = np.tanh(c_new)
-            steps.append((x_t, h, c, i, f, g, o, tanh_c))
-            h = o * tanh_c
-            c = c_new
-        self._cache = (steps, x.shape)
+        batch, _, n_steps = x.shape
+        hs = self.hidden_size
+        wh = self.params["wh"]
+        # time-major inputs: xs[t] is the (B, in) slice of timestep t
+        xs = np.ascontiguousarray(x.transpose(2, 0, 1)).reshape(n_steps * batch, -1)
+        xw = (xs @ self.params["wx"] + self.params["b"]).reshape(n_steps, batch, 4 * hs)
+        acts = np.empty((n_steps, batch, 4 * hs))  # i, f, g, o after nonlinearity
+        h_prev = np.empty((n_steps, batch, hs))  # state entering each step
+        c_prev = np.empty((n_steps, batch, hs))
+        tanh_c = np.empty((n_steps, batch, hs))
+        h = np.zeros((batch, hs))
+        c = np.zeros((batch, hs))
+        for t in range(n_steps):
+            h_prev[t], c_prev[t] = h, c
+            gates = xw[t] + h @ wh
+            act = acts[t]
+            act[:] = _sigmoid(gates)
+            act[:, 2 * hs : 3 * hs] = np.tanh(gates[:, 2 * hs : 3 * hs])
+            i, f, g, o = (act[:, k * hs : (k + 1) * hs] for k in range(4))
+            c = f * c + i * g
+            tanh_c[t] = np.tanh(c)
+            h = o * tanh_c[t]
+        self._cache = (xs, acts, h_prev, c_prev, tanh_c)
         return h
 
     def backward(self, dout):
-        steps, in_shape = self._cache
-        h_size = self.hidden_size
+        xs, acts, h_prev, c_prev, tanh_c = self._cache
+        n_steps, batch, _ = acts.shape
+        hs = self.hidden_size
         wx, wh = self.params["wx"], self.params["wh"]
-        n_steps = len(steps)
-        dgates_all = np.empty((n_steps, 4 * h_size))
-        dx = np.zeros(in_shape)
-        dh = dout.copy()
-        dc = np.zeros(h_size)
+        dgates = np.empty_like(acts)
+        dh = dout
+        dc = np.zeros((batch, hs))
         for t in range(n_steps - 1, -1, -1):
-            x_t, h_prev, c_prev, i, f, g, o, tanh_c = steps[t]
-            do = dh * tanh_c
-            dc = dc + dh * o * (1.0 - tanh_c**2)
-            di = dc * g
-            dg = dc * i
-            df = dc * c_prev
-            dgates = dgates_all[t]
-            dgates[:h_size] = di * i * (1.0 - i)
-            dgates[h_size : 2 * h_size] = df * f * (1.0 - f)
-            dgates[2 * h_size : 3 * h_size] = dg * (1.0 - g**2)
-            dgates[3 * h_size :] = do * o * (1.0 - o)
-            dx[:, t] = wx @ dgates
-            dh = wh @ dgates
+            i, f, g, o = (acts[t, :, k * hs : (k + 1) * hs] for k in range(4))
+            dc = dc + dh * o * (1.0 - tanh_c[t] ** 2)
+            d = dgates[t]
+            d[:, :hs] = dc * g * i * (1.0 - i)
+            d[:, hs : 2 * hs] = dc * c_prev[t] * f * (1.0 - f)
+            d[:, 2 * hs : 3 * hs] = dc * i * (1.0 - g**2)
+            d[:, 3 * hs :] = dh * tanh_c[t] * o * (1.0 - o)
+            dh = d @ wh.T
             dc = dc * f
-        xs = np.stack([s[0] for s in steps])       # (T, in)
-        hs = np.stack([s[1] for s in steps])       # (T, hidden), pre-step states
+        flat = dgates.reshape(n_steps * batch, 4 * hs)
         self.grads = {
-            "wx": xs.T @ dgates_all,
-            "wh": hs.T @ dgates_all,
-            "b": dgates_all.sum(axis=0),
+            "wx": xs.T @ flat,
+            "wh": h_prev.reshape(n_steps * batch, hs).T @ flat,
+            "b": flat.sum(axis=0),
         }
-        return dx
+        dxs = (flat @ wx.T).reshape(n_steps, batch, self.input_size)
+        return dxs.transpose(1, 2, 0)
 
     def spec(self):
         return {
@@ -312,7 +321,7 @@ class LSTM(Layer):
 
 
 class Dense(Layer):
-    """Fully connected layer on a flat vector."""
+    """Fully connected layer; each example's trailing axes are flattened."""
 
     def __init__(self, in_features, out_features, rng=None):
         super().__init__()
@@ -330,17 +339,17 @@ class Dense(Layer):
         return f"Dense({self.in_features}->{self.out_features})"
 
     def forward(self, x, train=False, rng=None):
-        flat = np.ravel(x)
-        if flat.shape[0] != self.in_features:
-            self._shape_error(x.shape, f"({self.in_features},)")
+        if x.ndim < 2 or int(np.prod(x.shape[1:])) != self.in_features:
+            self._shape_error(x.shape, f"(B, {self.in_features})")
+        flat = x.reshape(x.shape[0], self.in_features)
         self._cache = (flat, x.shape)
         return flat @ self.params["w"] + self.params["b"]
 
     def backward(self, dout):
         flat, in_shape = self._cache
         self.grads = {
-            "w": np.outer(flat, dout),
-            "b": dout.copy(),
+            "w": flat.T @ dout,
+            "b": dout.sum(axis=0),
         }
         return (dout @ self.params["w"].T).reshape(in_shape)
 
@@ -370,7 +379,7 @@ def layer_from_spec(spec: dict, rng=None) -> Layer:
 
 
 class Network:
-    """An ordered layer stack with single-example forward/backward.
+    """An ordered layer stack with batched forward/backward.
 
     ``input_len`` optionally declares the window length the stack was
     built for; layers themselves accept any length their kernels allow,
@@ -385,9 +394,17 @@ class Network:
         return "Network[" + ", ".join(repr(l) for l in self.layers) + "]"
 
     def forward(self, x, train=False, rng=None):
+        """(B, classes) scores for a (B, C, L) batch.
+
+        An eval-mode pass drops each layer's cache as soon as the layer
+        has run, so activations are freed as the pass goes; ``backward``
+        needs a train-mode pass.
+        """
         out = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
             out = layer.forward(out, train=train, rng=rng)
+            if not train:
+                layer._cache = None
         return out
 
     def backward(self, dout):

@@ -8,22 +8,30 @@ from ..errors import ContractError
 
 
 def softmax(scores):
-    """Probabilities from raw scores; shift-invariant and overflow-safe."""
-    z = scores - np.max(scores)
+    """Probabilities over the last axis; shift-invariant and overflow-safe."""
+    z = scores - np.max(scores, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(scores, target_class, class_weights=None):
-    """Loss and exact score gradient for one example.
+def softmax_cross_entropy(scores, targets, class_weights=None):
+    """Batch-mean loss and its exact score gradient.
 
-    loss = -w[target] * log softmax(scores)[target]; with unit weights
-    this is plain cross-entropy.  Returns ``(loss, dscores)``.
+    ``scores`` is (B, K) and ``targets`` holds B class indices.  Each
+    example contributes -w[target] * log softmax(scores)[target]; with
+    unit weights this is plain cross-entropy.  Returns ``(loss,
+    dscores)`` where loss is the mean over the batch and dscores (B, K)
+    is its gradient, so it already carries the 1/B factor.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    n = scores.shape[0]
-    if not (0 <= target_class < n):
-        raise ContractError(f"target class {target_class} out of range 0..{n - 1}")
+    if scores.ndim != 2 or scores.shape[0] < 1:
+        raise ContractError(f"scores must be (B, K) with B >= 1, got {scores.shape}")
+    batch, n = scores.shape
+    targets = np.asarray(targets)
+    if targets.shape != (batch,) or not np.issubdtype(targets.dtype, np.integer):
+        raise ContractError(f"need {batch} integer targets, got {targets!r}")
+    if np.any((targets < 0) | (targets >= n)):
+        raise ContractError(f"target class out of range 0..{n - 1}: {targets}")
     if class_weights is None:
         class_weights = np.ones(n)
     else:
@@ -33,10 +41,11 @@ def softmax_cross_entropy(scores, target_class, class_weights=None):
         if np.any(class_weights <= 0):
             raise ContractError("class_weights must be positive")
 
-    shifted = scores - np.max(scores)
-    log_probs = shifted - np.log(np.exp(shifted).sum())
-    w = class_weights[target_class]
-    loss = -w * log_probs[target_class]
-    dscores = w * np.exp(log_probs)
-    dscores[target_class] -= w
-    return float(loss), dscores
+    shifted = scores - np.max(scores, axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.arange(batch)
+    w = class_weights[targets]
+    loss = -np.sum(w * log_probs[rows, targets]) / batch
+    dscores = w[:, None] * np.exp(log_probs)
+    dscores[rows, targets] -= w
+    return float(loss), dscores / batch

@@ -192,9 +192,14 @@ def load_table(path) -> CohortTable | SessionTable:
             try:
                 number = float(value)
             except ValueError:
+                number = np.nan
+            if not np.isfinite(number):
                 raise ParseError(
-                    f"not a number: {value!r}", path=path, line=line_no, field="value"
-                ) from None
+                    f"not a finite number: {value!r}",
+                    path=path,
+                    line=line_no,
+                    field="value",
+                )
             values.setdefault(movement, {}).setdefault(statistic, {})[key] = number
     if kinds == {"cohort"}:
         return CohortTable(values)
@@ -412,6 +417,7 @@ def _render_cohort_table(table: CohortTable, fmt):
             },
             indent=2,
             sort_keys=True,
+            allow_nan=False,
         )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -437,6 +443,7 @@ def _render_session_table(table: SessionTable, fmt):
             },
             indent=2,
             sort_keys=True,
+            allow_nan=False,
         )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -462,13 +469,14 @@ def _render_comparison(comparison: CohortComparison, fmt):
                     "statistic": statistic,
                     "healthy": cell.healthy,
                     "patient": cell.patient,
-                    "ratio": cell.ratio,
+                    # JSON has no infinity: a ratio over a zero healthy cell is null
+                    "ratio": None if np.isinf(cell.ratio) else cell.ratio,
                     "direction": cell.direction,
                 }
                 for (movement, statistic), cell in sorted(comparison.cells.items())
             ],
         }
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["movement", "statistic", "healthy", "patient", "ratio", "direction"])
@@ -499,7 +507,7 @@ def _render_flags(flags: ImprovementFlags, fmt):
                 for movement, ev in sorted(flags.movements.items())
             },
         }
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["movement", "baseline", "improved_sessions"])

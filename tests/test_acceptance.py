@@ -145,9 +145,9 @@ def test_criterion_4_gradient_integrity():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         net = build_model(cfg, seed=seed)
-        x = rng.normal(size=(3, 64))
+        x = rng.normal(size=(1, 3, 64))
         err = gradient_check(
-            net, x, target=int(rng.integers(4)), class_weights=weights, rng_seed=seed
+            net, x, targets=[int(rng.integers(4))], class_weights=weights, rng_seed=seed
         )
         worst = max(worst, err)
         if err >= 1e-4:

@@ -47,8 +47,8 @@ class TestModelConfig:
 
     def test_forward_shape_contract(self):
         net = build_model(ModelConfig(), seed=0)
-        scores = net.forward(np.zeros((3, 128)))
-        assert scores.shape == (4,)
+        scores = net.forward(np.zeros((1, 3, 128)))
+        assert scores.shape == (1, 4)
 
     def test_feature_length_recurrence(self):
         # track floor((L - k) / s) + 1 through conv and pool blocks
@@ -84,7 +84,7 @@ class TestModelConfig:
         cfg = ModelConfig.toy()
         assert feature_length(cfg) >= 1
         net = build_model(cfg, seed=0)
-        assert net.forward(np.zeros((3, 64))).shape == (4,)
+        assert net.forward(np.zeros((1, 3, 64))).shape == (1, 4)
 
 
 class TestPredictEvaluate:
@@ -104,6 +104,16 @@ class TestPredictEvaluate:
         item = make_set(1, w=48)[0]
         with pytest.raises(ContractError, match="window"):
             predict(net, item.epoch)
+
+    def test_mixed_epoch_lengths_rejected_without_declared_window(self):
+        from kinemotion.classifier import predict_proba
+        from kinemotion.errors import ContractError
+
+        net = build_model(ModelConfig.toy(), seed=3)
+        net.input_len = None
+        items = make_set(1, w=64) + make_set(1, w=72)
+        with pytest.raises(ContractError, match="window 64"):
+            predict_proba(net, [item.epoch for item in items])
 
     def test_probabilities_sum_to_one(self):
         net = build_model(ModelConfig.toy(), seed=2)

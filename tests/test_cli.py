@@ -155,6 +155,118 @@ class TestTrainEvalClassify:
         assert out.startswith("start_index,end_index")
 
 
+def random_recording(path, rows, annotations=()):
+    import numpy as np
+
+    from kinemotion.dataset import Recording, write_recording
+    from kinemotion.kinematics import TimeSeries3D
+
+    rng = np.random.default_rng(rows)
+    rec = Recording(
+        subject_id="S2",
+        group="patient",
+        session=1,
+        hand="dominant",
+        scenario="L1",
+        series=TimeSeries3D(fs=50.0, samples=rng.normal(size=(rows, 3))),
+        annotations=tuple(annotations),
+    )
+    write_recording(rec, path)
+    return rec
+
+
+def classified_rows(path):
+    import csv
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def assert_rows_match_predict(rows, net, epochs):
+    import numpy as np
+
+    from kinemotion.classifier import predict
+
+    assert len(rows) == len(epochs)
+    for row, epoch in zip(rows, epochs):
+        probs, label = predict(net, epoch)
+        printed = [float(row[f"p_{m}"]) for m in ("M1", "M2", "M3", "M4")]
+        assert row["predicted"] == label
+        assert np.max(np.abs(np.asarray(printed) - probs)) <= 5e-7
+
+
+class TestClassifyChunks:
+    """classify runs the network over fixed-size chunks of epochs."""
+
+    def test_windows_across_chunk_boundaries_match_predict(self, trained_dir, tmp_path):
+        from kinemotion.classifier import EVAL_CHUNK
+        from kinemotion.kinematics import window
+        from kinemotion.nn import load_checkpoint
+
+        rec = random_recording(tmp_path / "long.csv", rows=96 + 5 * (EVAL_CHUNK + 36))
+        epochs = window(rec.series, 96, 5)
+        assert len(epochs) > EVAL_CHUNK and len(epochs) % EVAL_CHUNK != 0
+        out = tmp_path / "windows.csv"
+        assert run_cli(
+            "classify",
+            "--recording", str(tmp_path / "long.csv"),
+            "--checkpoint", str(trained_dir / "model.knm"),
+            "--mode", "windows",
+            "--stride", "5",
+            "--out", str(out),
+        ) == 0
+        rows = classified_rows(out)
+        net = load_checkpoint(trained_dir / "model.knm").net
+        assert_rows_match_predict(rows, net, epochs)
+        assert [(int(r["start_index"]), int(r["end_index"])) for r in rows] == [
+            (ep.offset, ep.offset + 96) for ep in epochs
+        ]
+
+    def test_segments_across_chunk_boundaries_match_predict(
+        self, trained_dir, tmp_path, monkeypatch
+    ):
+        from kinemotion import classifier
+        from kinemotion.dataset import Annotation, extract_epochs
+        from kinemotion.nn import load_checkpoint
+
+        # eight key segments, a degenerate one and a distractor: with a
+        # chunk of 3 the epochs span three chunks, the last one short
+        annotations = [
+            Annotation(20 + 60 * k, 70 + 60 * k, f"M{k % 4 + 1}") for k in range(8)
+        ]
+        annotations += [Annotation(72, 73, "M2"), Annotation(131, 139, "R3")]
+        annotations.sort(key=lambda a: a.start)
+        rec = random_recording(tmp_path / "segs.csv", rows=600, annotations=annotations)
+        monkeypatch.setattr(classifier, "EVAL_CHUNK", 3)
+        out = tmp_path / "segments.csv"
+        assert run_cli(
+            "classify",
+            "--recording", str(tmp_path / "segs.csv"),
+            "--checkpoint", str(trained_dir / "model.knm"),
+            "--out", str(out),
+        ) == 0
+        rows = classified_rows(out)
+        labelled = extract_epochs(rec, 96).epochs
+        assert len(labelled) == 8
+        assert [r["true_label"] for r in rows] == [item.label for item in labelled]
+        net = load_checkpoint(trained_dir / "model.knm").net
+        assert_rows_match_predict(rows, net, [item.epoch for item in labelled])
+
+    def test_truncated_checkpoint_is_a_data_error(self, synth_dir, tmp_path, capsys):
+        recording = sorted(
+            p for p in synth_dir.glob("*.csv") if ".annotations" not in p.name
+        )[0]
+        bad = tmp_path / "short.knm"
+        bad.write_bytes(b"KNM1\0\0")
+        code = run_cli(
+            "classify", "--recording", str(recording), "--checkpoint", str(bad)
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "short.knm" in err
+        assert "Traceback" not in err
+
+
 class TestConfigFile:
     def test_config_overrides_and_flag_precedence(self, synth_dir, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,5 +1,8 @@
 """Network engine: layer oracles, loss, optimizer, gradient integrity."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -42,7 +45,7 @@ class TestConv1D:
         conv = Conv1D(3, 3, kernel=1, stride=1)
         conv.params["w"] = np.eye(3)[:, :, None].astype(float)
         conv.params["b"] = np.zeros(3)
-        x = np.random.default_rng(0).normal(size=(3, 10))
+        x = np.random.default_rng(0).normal(size=(1, 3, 10))
         np.testing.assert_array_equal(conv.forward(x), x)
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -51,27 +54,27 @@ class TestConv1D:
         conv = Conv1D(4, 5, kernel=3, stride=stride, rng=rng)
         x = rng.normal(size=(4, 17))
         expected = brute_force_conv1d(x, conv.params["w"], conv.params["b"], stride)
-        np.testing.assert_allclose(conv.forward(x), expected, rtol=1e-12)
+        np.testing.assert_allclose(conv.forward(x[None])[0], expected, rtol=1e-12)
 
     def test_wrong_channel_count_names_layer(self):
         conv = Conv1D(4, 5, kernel=3)
         with pytest.raises(ContractError, match="Conv1D"):
-            conv.forward(np.zeros((3, 17)))
+            conv.forward(np.zeros((1, 3, 17)))
 
     def test_too_short_input_rejected(self):
         conv = Conv1D(2, 2, kernel=8)
         with pytest.raises(ContractError):
-            conv.forward(np.zeros((2, 5)))
+            conv.forward(np.zeros((1, 2, 5)))
 
 
 class TestMaxPool:
     def test_values_and_tie_breaking(self):
         pool = MaxPool1D(kernel=2, stride=2)
         x = np.array([[1.0, 3.0, 5.0, 5.0], [2.0, 2.0, 0.0, -1.0]])
-        out = pool.forward(x)
+        out = pool.forward(x[None])[0]
         np.testing.assert_array_equal(out, [[3.0, 5.0], [2.0, 0.0]])
         # the tied window routed its gradient to the earliest position
-        dx = pool.backward(np.ones((2, 2)))
+        dx = pool.backward(np.ones((1, 2, 2)))[0]
         np.testing.assert_array_equal(dx, [[0, 1, 1, 0], [1, 0, 1, 0]])
 
 
@@ -103,13 +106,13 @@ class TestLSTM:
         lstm = LSTM(3, 4)
         for key in lstm.params:
             lstm.params[key] = np.zeros_like(lstm.params[key])
-        out = lstm.forward(np.ones((3, 5)))
+        out = lstm.forward(np.ones((1, 3, 5)))[0]
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_single_step_matches_scalar_reference(self):
         lstm = LSTM(2, 2, rng=np.random.default_rng(8))
         x = np.array([[0.3], [-1.2]])
-        out = lstm.forward(x)
+        out = lstm.forward(x[None])[0]
 
         def sigmoid(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -130,7 +133,7 @@ class TestLSTM:
     def test_empty_sequence_rejected(self):
         lstm = LSTM(3, 4)
         with pytest.raises(ContractError):
-            lstm.forward(np.zeros((3, 0)))
+            lstm.forward(np.zeros((1, 3, 0)))
 
 
 class TestDense:
@@ -139,29 +142,29 @@ class TestDense:
         dense.params["w"] = np.array([[1.0, 2.0], [3.0, 4.0]])
         dense.params["b"] = np.array([0.5, -0.5])
         x = np.array([2.0, -1.0])
-        out = dense.forward(x)
+        out = dense.forward(x[None])[0]
         np.testing.assert_array_equal(out, [2 - 3 + 0.5, 4 - 4 - 0.5])
         dout = np.array([1.0, -2.0])
-        dx = dense.backward(dout)
+        dx = dense.backward(dout[None])[0]
         np.testing.assert_array_equal(dense.grads["w"], np.outer(x, dout))
         np.testing.assert_array_equal(dense.grads["b"], dout)
         np.testing.assert_array_equal(dx, dout @ dense.params["w"].T)
 
     def test_backward_restores_2d_input_shape(self):
         dense = Dense(6, 2, rng=np.random.default_rng(0))
-        x = np.arange(6.0).reshape(2, 3)
+        x = np.arange(6.0).reshape(1, 2, 3)
         dense.forward(x)
-        dx = dense.backward(np.array([1.0, -1.0]))
-        assert dx.shape == (2, 3)
+        dx = dense.backward(np.array([[1.0, -1.0]]))
+        assert dx.shape == (1, 2, 3)
 
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_scores_give_log4(self):
-        loss, _ = softmax_cross_entropy(np.zeros(4), 0)
+        loss, _ = softmax_cross_entropy(np.zeros((1, 4)), [0])
         assert loss == pytest.approx(np.log(4.0), rel=1e-12)
 
     def test_saturated_case(self):
-        loss, _ = softmax_cross_entropy(np.array([100.0, 0.0, 0.0, 0.0]), 0)
+        loss, _ = softmax_cross_entropy(np.array([[100.0, 0.0, 0.0, 0.0]]), [0])
         assert loss < 1e-6
 
     def test_matches_scalar_reference(self):
@@ -170,7 +173,7 @@ class TestSoftmaxCrossEntropy:
             scores = rng.normal(size=4) * 3
             weights = rng.uniform(0.5, 2.0, size=4)
             target = int(rng.integers(4))
-            loss, dscores = softmax_cross_entropy(scores, target, weights)
+            loss, dscores = softmax_cross_entropy(scores[None], [target], weights)
 
             exp = [np.exp(s) for s in scores]
             z = sum(exp)
@@ -181,7 +184,7 @@ class TestSoftmaxCrossEntropy:
                 for j in range(4)
             ]
             assert abs(loss - ref_loss) < 1e-12
-            np.testing.assert_allclose(dscores, ref_grad, atol=1e-12)
+            np.testing.assert_allclose(dscores[0], ref_grad, atol=1e-12)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(2)
@@ -192,7 +195,28 @@ class TestSoftmaxCrossEntropy:
 
     def test_target_out_of_range(self):
         with pytest.raises(ContractError):
-            softmax_cross_entropy(np.zeros(4), 4)
+            softmax_cross_entropy(np.zeros((1, 4)), [4])
+
+    def test_batch_is_mean_of_single_examples(self):
+        rng = np.random.default_rng(22)
+        scores = rng.normal(size=(6, 4)) * 3
+        targets = rng.integers(4, size=6)
+        weights = rng.uniform(0.5, 2.0, size=4)
+        loss, dscores = softmax_cross_entropy(scores, targets, weights)
+        singles = [
+            softmax_cross_entropy(scores[b : b + 1], targets[b : b + 1], weights)
+            for b in range(6)
+        ]
+        assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-12)
+        np.testing.assert_allclose(
+            dscores, np.concatenate([d for _, d in singles]) / 6, rtol=1e-12
+        )
+
+    def test_targets_must_match_batch(self):
+        with pytest.raises(ContractError):
+            softmax_cross_entropy(np.zeros((2, 4)), [0])
+        with pytest.raises(ContractError):
+            softmax_cross_entropy(np.zeros(4), [0])
 
 
 class TestAdam:
@@ -245,23 +269,23 @@ class TestGradientCheck:
     def test_toy_stack(self):
         rng = np.random.default_rng(0)
         net = toy_network(0)
-        x = rng.normal(size=(3, 12))
-        assert gradient_check(net, x, target=2) < 1e-4
+        x = rng.normal(size=(1, 3, 12))
+        assert gradient_check(net, x, targets=[2]) < 1e-4
 
     def test_linear_model_is_nearly_exact(self):
         # a pure dense layer has no kinks, so central differences agree
         # with the analytic gradient almost to roundoff
         rng = np.random.default_rng(1)
         net = Network([Dense(6, 4, rng=rng)])
-        x = rng.normal(size=6)
-        assert gradient_check(net, x, target=1) < 1e-7
+        x = rng.normal(size=(1, 6))
+        assert gradient_check(net, x, targets=[1]) < 1e-7
 
     def test_detects_perturbed_gradient(self):
         rng = np.random.default_rng(3)
         net = toy_network(3)
-        x = rng.normal(size=(3, 12))
+        x = rng.normal(size=(1, 3, 12))
         scores = net.forward(x, train=True, rng=np.random.default_rng(0))
-        _, dscores = softmax_cross_entropy(scores, 2)
+        _, dscores = softmax_cross_entropy(scores, [2])
         analytic = {k: v.copy() for k, v in net.backward(dscores).items()}
         # corrupt the largest entry by 1%; the checker must flag >= 0.9%
         key = max(analytic, key=lambda k: np.abs(analytic[k]).max())
@@ -283,15 +307,65 @@ class TestGradientCheck:
                 Dense(4, 4, rng=rng),
             ]
         )
-        x = rng.normal(size=(3, 14))
-        assert gradient_check(net, x, target=0, rng_seed=7) < 1e-4
+        x = rng.normal(size=(1, 3, 14))
+        assert gradient_check(net, x, targets=[0], rng_seed=7) < 1e-4
+
+
+class TestBatchedEngine:
+    """A batch of B is B examples: gradients of the batch-mean loss."""
+
+    def test_batched_gradients_equal_mean_of_single_example_gradients(self):
+        from kinemotion.classifier import ModelConfig, build_model
+
+        batch = 5
+        net = build_model(ModelConfig(dropout=0.0), seed=23)
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(batch, 3, 128))
+        targets = rng.integers(4, size=batch)
+        scores = net.forward(x, train=True, rng=rng)
+        _, dscores = softmax_cross_entropy(scores, targets)
+        batched = {k: v.copy() for k, v in net.backward(dscores).items()}
+
+        mean = {k: np.zeros_like(v) for k, v in batched.items()}
+        for b in range(batch):
+            single = net.forward(x[b : b + 1], train=True, rng=rng)
+            np.testing.assert_allclose(single[0], scores[b], rtol=1e-12, atol=1e-14)
+            _, dsingle = softmax_cross_entropy(single, targets[b : b + 1])
+            for key, g in net.backward(dsingle).items():
+                mean[key] += g / batch
+        for key, g in batched.items():
+            scale = np.abs(mean[key]).max()
+            assert scale > 0, key
+            assert np.abs(g - mean[key]).max() <= 1e-12 * scale, key
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gradient_check_at_batch_three_with_dropout(self, seed):
+        # the toy architecture with its default dropout 0.5; the pinned
+        # generator fixes every mask, and class weights of 0.01 keep the
+        # tiny entries above the metric's floor, as in criterion 4
+        from kinemotion.classifier import ModelConfig, build_model
+
+        net = build_model(ModelConfig.toy(input_len=64), seed=seed)
+        assert any(isinstance(l, Dropout) and l.p > 0 for l in net.layers)
+        x = np.random.default_rng(seed).normal(size=(3, 3, 64))
+        err = gradient_check(
+            net, x, targets=[0, 3, 1], class_weights=(0.01,) * 4, rng_seed=11
+        )
+        assert err < 1e-4
+
+    def test_maxpool_overlapping_windows_route_every_gradient(self):
+        pool = MaxPool1D(kernel=3, stride=1)
+        x = np.array([[[1.0, 4.0, 2.0, 0.0, 3.0]]])
+        np.testing.assert_array_equal(pool.forward(x), [[[4.0, 4.0, 3.0]]])
+        dx = pool.backward(np.array([[[1.0, 2.0, 5.0]]]))
+        np.testing.assert_array_equal(dx, [[[0.0, 3.0, 0.0, 0.0, 5.0]]])
 
 
 class TestNetworkDeterminism:
     def test_eval_forward_is_bit_identical(self):
         rng = np.random.default_rng(10)
         net = toy_network(10)
-        x = rng.normal(size=(3, 12))
+        x = rng.normal(size=(1, 3, 12))
         a = net.forward(x)
         b = net.forward(x)
         np.testing.assert_array_equal(a, b)
@@ -299,9 +373,9 @@ class TestNetworkDeterminism:
     def test_backward_shapes_match_parameters(self):
         rng = np.random.default_rng(11)
         net = toy_network(11)
-        x = rng.normal(size=(3, 12))
+        x = rng.normal(size=(1, 3, 12))
         scores = net.forward(x, train=True, rng=rng)
-        _, dscores = softmax_cross_entropy(scores, 0)
+        _, dscores = softmax_cross_entropy(scores, [0])
         grads = net.backward(dscores)
         params = net.parameters()
         assert set(grads) == set(params)
@@ -313,7 +387,7 @@ class TestCheckpoint:
     def test_round_trip_restores_forward(self, tmp_path):
         rng = np.random.default_rng(12)
         net = toy_network(12)
-        x = rng.normal(size=(3, 12))
+        x = rng.normal(size=(1, 3, 12))
         expected = net.forward(x)
         path = tmp_path / "model.knm"
         save_checkpoint(path, net, seed=12, extra={"input_len": 12})
@@ -322,6 +396,54 @@ class TestCheckpoint:
         assert ckpt.seed == 12
         assert ckpt.extra == {"input_len": 12}
         assert path.read_bytes()[:4] == b"KNM1"
+
+    @staticmethod
+    def write_with_header(path, header, payload=b""):
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(b"KNM1" + struct.pack("<I", len(blob)) + blob + payload)
+
+    def test_rejects_file_shorter_than_header_length_field(self, tmp_path):
+        from kinemotion.errors import InvalidDataError
+
+        path = tmp_path / "short.knm"
+        path.write_bytes(b"KNM1\0\0")
+        with pytest.raises(InvalidDataError):
+            load_checkpoint(path)
+
+    def test_rejects_header_length_past_end_of_file(self, tmp_path):
+        from kinemotion.errors import InvalidDataError
+
+        path = tmp_path / "long_header.knm"
+        path.write_bytes(b"KNM1" + struct.pack("<I", 1000) + b'{"seed": 0}')
+        with pytest.raises(InvalidDataError, match="past the end"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("missing", ["seed", "layers", "params"])
+    def test_rejects_header_missing_key(self, tmp_path, missing):
+        from kinemotion.errors import InvalidDataError
+
+        path = tmp_path / "model.knm"
+        save_checkpoint(path, toy_network(24), seed=24)
+        raw = path.read_bytes()
+        header_len = int.from_bytes(raw[4:8], "little")
+        header = json.loads(raw[8 : 8 + header_len])
+        del header[missing]
+        self.write_with_header(path, header, raw[8 + header_len :])
+        with pytest.raises(InvalidDataError, match=missing):
+            load_checkpoint(path)
+
+    def test_rejects_layer_spec_missing_field(self, tmp_path):
+        from kinemotion.errors import InvalidDataError
+
+        path = tmp_path / "model.knm"
+        header = {
+            "seed": 0,
+            "layers": [{"kind": "conv1d", "in_channels": 3, "out_channels": 4}],
+            "params": [],
+        }
+        self.write_with_header(path, header)
+        with pytest.raises(InvalidDataError, match="kernel"):
+            load_checkpoint(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.knm"

@@ -244,6 +244,19 @@ class TestLoadTable:
         with pytest.raises(ParseError):
             load_table(bad)
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_rejects_non_finite_value_with_line(self, tmp_path, value):
+        from kinemotion.errors import ParseError
+
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "movement,statistic,cohort_or_session,value\n"
+            f"M1,mean,healthy,1.5\nM1,mean,patient,{value}\n"
+        )
+        with pytest.raises(ParseError) as err:
+            load_table(bad)
+        assert err.value.line == 3 and err.value.field == "value"
+
 
 class TestRenderReport:
     def test_cohort_table_csv_shows_published_means(self):
@@ -321,3 +334,41 @@ class TestRenderReport:
         assert row[1] == "1.23457"
         assert row[2] == "0.000123457"
         assert row[3] == "123457"
+
+
+class TestReportJson:
+    def zero_healthy_comparison(self):
+        healthy = {m: {"mean": 0.0, "max": 2.0, "min": -1.0} for m in ("M1", "M2", "M3", "M4")}
+        patient = {m: {"mean": 3.0, "max": 2.0, "min": -1.0} for m in ("M1", "M2", "M3", "M4")}
+        return compare_tables(healthy, patient)
+
+    def test_infinite_ratio_is_null_in_json(self):
+        comparison = self.zero_healthy_comparison()
+        assert comparison.ratio("M1", "mean") == float("inf")
+
+        def no_constants(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        payload = json.loads(render_report(comparison, "json"), parse_constant=no_constants)
+        cells = {(c["movement"], c["statistic"]): c for c in payload["cells"]}
+        assert cells[("M1", "mean")]["ratio"] is None
+        assert cells[("M1", "max")]["ratio"] == 1.0
+        rows = list(csv.DictReader(io.StringIO(render_report(comparison, "csv"))))
+        assert {r["ratio"] for r in rows if r["statistic"] == "mean"} == {"inf"}
+
+    @pytest.mark.parametrize(
+        "name",
+        ["cohort_jerk", "cohort_squared_jerk", "patient_100", "patient_101", "patient_102",
+         "patient_103"],
+    )
+    def test_bundled_tables_render_strict_json(self, name):
+        def no_constants(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        table = load_table(bundled_table(name))
+        derived = (
+            compare_cohort_table(table) if isinstance(table, CohortTable)
+            else evolution_from_table(table)
+        )
+        for obj in (table, derived):
+            json.loads(render_report(obj, "json"), parse_constant=no_constants)
