@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ HANDS = ("dominant", "nondominant", "both")
 SCENARIOS = ("L1", "L2")
 
 _META_KEYS = ("subject_id", "group", "session", "hand", "scenario", "fs_hz")
+_SIGNAL_HEADER = ["t", "ax", "ay", "az"]
 
 
 def is_key_movement(label: str) -> bool:
@@ -143,6 +146,48 @@ def _sidecar_paths(path):
     return path, stem.with_suffix(".annotations.csv"), stem.with_suffix(".meta")
 
 
+def _not_utf8(path) -> ParseError:
+    """The error for a file that is not UTF-8, naming the line of its first bad byte."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start].decode("utf-8")
+        # \n, \r and \r\n each end a line, as in universal-newline reading
+        line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+        return ParseError(f"not UTF-8 text: {exc.reason}", path=path, line=line)
+    return ParseError("not UTF-8 text", path=path)  # the file changed meanwhile
+
+
+def read_csv_body(path, header, what) -> list[list[str]]:
+    """The records after the header of a UTF-8 CSV file, split by ``csv.reader``.
+
+    An empty file, a first record other than ``header``, bytes that are
+    not UTF-8 or a record the reader rejects (e.g. a field over the csv
+    module's size limit) raise :class:`ParseError` naming the line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            rows = list(reader)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    except csv.Error as exc:
+        raise ParseError(
+            f"malformed CSV: {exc}", path=path, line=reader.line_num
+        ) from None
+    if not rows:
+        raise ParseError(f"empty {what} file", path=path, line=1)
+    if rows[0] != header:
+        raise ParseError(
+            f"expected header {','.join(header)}, got {','.join(rows[0])}",
+            path=path,
+            line=1,
+            field="header",
+        )
+    return rows[1:]
+
+
 def _parse_float(text, path, line, fieldname):
     try:
         value = float(text)
@@ -150,7 +195,7 @@ def _parse_float(text, path, line, fieldname):
         raise ParseError(
             f"not a number: {text!r}", path=path, line=line, field=fieldname
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(
             f"non-finite value: {text!r}", path=path, line=line, field=fieldname
         )
@@ -166,96 +211,91 @@ def _parse_int(text, path, line, fieldname):
         ) from None
 
 
-def _read_signal(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty signal file", path=path, line=1) from None
-        if header != ["t", "ax", "ay", "az"]:
+def _raise_first_row_error(path, body):
+    """Raise the ParseError of the first bad signal row, in file order.
+
+    Called only after the bulk conversion in :func:`_read_signal` has
+    failed, so some row is bad; it never returns.
+    """
+    for line_no, row in enumerate(body, start=2):
+        if len(row) != 4:
             raise ParseError(
-                f"expected header t,ax,ay,az, got {','.join(header)}",
-                path=path,
-                line=1,
-                field="header",
+                f"expected 4 columns, got {len(row)}", path=path, line=line_no
             )
-        times, rows = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ParseError(
-                    f"expected 4 columns, got {len(row)}", path=path, line=line_no
-                )
-            times.append(_parse_float(row[0], path, line_no, "t"))
-            rows.append(
-                [
-                    _parse_float(row[1], path, line_no, "ax"),
-                    _parse_float(row[2], path, line_no, "ay"),
-                    _parse_float(row[3], path, line_no, "az"),
-                ]
+        for text, fieldname in zip(row, _SIGNAL_HEADER):
+            _parse_float(text, path, line_no, fieldname)
+    raise AssertionError(f"{path}: bulk conversion failed but every row parses")
+
+
+def _read_signal(path):
+    body = read_csv_body(path, _SIGNAL_HEADER, "signal")
+    # One width check, one conversion of every value with ``float`` and one
+    # finiteness check; only when one fails does the row walk find the error.
+    values = None
+    if set(map(len, body)) <= {4}:
+        try:
+            values = np.fromiter(
+                map(float, chain.from_iterable(body)), np.float64, count=4 * len(body)
             )
-    if len(rows) < 2:
+        except ValueError:
+            pass
+    if values is None or not np.isfinite(values).all():
+        _raise_first_row_error(path, body)
+    if len(body) < 2:
         raise ParseError("signal needs at least 2 rows", path=path, line=2)
-    return np.asarray(times), np.asarray(rows)
+    values = values.reshape(-1, 4)
+    return np.ascontiguousarray(values[:, 0]), np.ascontiguousarray(values[:, 1:])
 
 
 def _read_annotations(path):
     anns = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty annotation file", path=path, line=1) from None
-        if header != ["start_index", "end_index", "label"]:
+    body = read_csv_body(path, ["start_index", "end_index", "label"], "annotation")
+    for line_no, row in enumerate(body, start=2):
+        if len(row) != 3:
             raise ParseError(
-                f"expected header start_index,end_index,label, got {','.join(header)}",
-                path=path,
-                line=1,
-                field="header",
+                f"expected 3 columns, got {len(row)}", path=path, line=line_no
             )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise ParseError(
-                    f"expected 3 columns, got {len(row)}", path=path, line=line_no
-                )
-            start = _parse_int(row[0], path, line_no, "start_index")
-            end = _parse_int(row[1], path, line_no, "end_index")
-            if row[2] not in ALL_LABELS:
-                raise ParseError(
-                    f"unknown label {row[2]!r}", path=path, line=line_no, field="label"
-                )
-            if not (0 <= start < end):
-                raise ParseError(
-                    f"bad range [{start}, {end})",
-                    path=path,
-                    line=line_no,
-                    field="start_index",
-                )
-            anns.append((line_no, Annotation(start, end, row[2])))
+        start = _parse_int(row[0], path, line_no, "start_index")
+        end = _parse_int(row[1], path, line_no, "end_index")
+        if row[2] not in ALL_LABELS:
+            raise ParseError(
+                f"unknown label {row[2]!r}", path=path, line=line_no, field="label"
+            )
+        if not (0 <= start < end):
+            raise ParseError(
+                f"bad range [{start}, {end})",
+                path=path,
+                line=line_no,
+                field="start_index",
+            )
+        anns.append((line_no, Annotation(start, end, row[2])))
     return anns
 
 
 def _read_metadata(path):
     meta = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError("expected key=value", path=path, line=line_no)
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _META_KEYS:
-                raise ParseError(
-                    f"unknown metadata key {key!r}", path=path, line=line_no, field=key
-                )
-            if key in meta:
-                raise ParseError(
-                    f"duplicate metadata key {key!r}", path=path, line=line_no, field=key
-                )
-            meta[key] = (line_no, value)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError("expected key=value", path=path, line=line_no)
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _META_KEYS:
+            raise ParseError(
+                f"unknown metadata key {key!r}", path=path, line=line_no, field=key
+            )
+        if key in meta:
+            raise ParseError(
+                f"duplicate metadata key {key!r}", path=path, line=line_no, field=key
+            )
+        meta[key] = (line_no, value)
     for key in _META_KEYS:
         if key not in meta:
             raise ParseError(f"missing metadata key {key!r}", path=path, field=key)

@@ -75,6 +75,16 @@ def load_checkpoint(path) -> Checkpoint:
         ) from None
     if any(d < 0 for _, shape in manifest for d in shape):
         raise InvalidDataError(f"{path}: negative dimension in the parameter manifest")
+    expected, seen = net.parameters(), set()
+    for key, _ in manifest:
+        if key not in expected:
+            raise InvalidDataError(f"{path}: manifest names no parameter {key!r}")
+        if key in seen:
+            raise InvalidDataError(f"{path}: manifest names {key!r} twice")
+        seen.add(key)
+    missing = [key for key in expected if key not in seen]
+    if missing:
+        raise InvalidDataError(f"{path}: manifest omits {', '.join(missing)}")
     offset = 8 + header_len
     bundle = {}
     for key, shape in manifest:
@@ -83,10 +93,16 @@ def load_checkpoint(path) -> Checkpoint:
         if end > len(raw):
             raise InvalidDataError(f"{path}: truncated parameter payload")
         bundle[key] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape)
+        if not np.isfinite(bundle[key]).all():
+            raise InvalidDataError(f"{path}: non-finite weight in {key!r}")
         offset = end
+    if offset != len(raw):
+        raise InvalidDataError(
+            f"{path}: {len(raw) - offset} trailing bytes after the last payload"
+        )
     try:
         net.set_parameters(bundle)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise InvalidDataError(
             f"{path}: manifest does not fit the layers: {exc}"
         ) from None

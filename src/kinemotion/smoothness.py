@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import KEY_MOVEMENTS
+from .dataset import KEY_MOVEMENTS, read_csv_body
 from .errors import ContractError, DegenerateInputError, ParseError
 from .kinematics import (
     AxisStats,
@@ -144,63 +144,53 @@ def load_table(path) -> CohortTable | SessionTable:
     path = Path(path)
     values: dict = {}
     kinds = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty table file", path=path, line=1) from None
-        if header != ["movement", "statistic", "cohort_or_session", "value"]:
+    body = read_csv_body(
+        path, ["movement", "statistic", "cohort_or_session", "value"], "table"
+    )
+    for line_no, row in enumerate(body, start=2):
+        if len(row) != 4:
             raise ParseError(
-                "expected header movement,statistic,cohort_or_session,value",
-                path=path,
-                line=1,
-                field="header",
+                f"expected 4 columns, got {len(row)}", path=path, line=line_no
             )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ParseError(
-                    f"expected 4 columns, got {len(row)}", path=path, line=line_no
-                )
-            movement, statistic, key, value = row
-            if movement not in KEY_MOVEMENTS:
-                raise ParseError(
-                    f"unknown movement {movement!r}",
-                    path=path,
-                    line=line_no,
-                    field="movement",
-                )
-            if statistic not in STATISTICS:
-                raise ParseError(
-                    f"unknown statistic {statistic!r}",
-                    path=path,
-                    line=line_no,
-                    field="statistic",
-                )
-            if key in COHORTS:
-                kinds.add("cohort")
-            elif key.isdigit():
-                kinds.add("session")
-                key = int(key)
-            else:
-                raise ParseError(
-                    f"expected a cohort or session number, got {key!r}",
-                    path=path,
-                    line=line_no,
-                    field="cohort_or_session",
-                )
-            try:
-                number = float(value)
-            except ValueError:
-                number = np.nan
-            if not np.isfinite(number):
-                raise ParseError(
-                    f"not a finite number: {value!r}",
-                    path=path,
-                    line=line_no,
-                    field="value",
-                )
-            values.setdefault(movement, {}).setdefault(statistic, {})[key] = number
+        movement, statistic, key, value = row
+        if movement not in KEY_MOVEMENTS:
+            raise ParseError(
+                f"unknown movement {movement!r}",
+                path=path,
+                line=line_no,
+                field="movement",
+            )
+        if statistic not in STATISTICS:
+            raise ParseError(
+                f"unknown statistic {statistic!r}",
+                path=path,
+                line=line_no,
+                field="statistic",
+            )
+        if key in COHORTS:
+            kinds.add("cohort")
+        elif key.isdigit():
+            kinds.add("session")
+            key = int(key)
+        else:
+            raise ParseError(
+                f"expected a cohort or session number, got {key!r}",
+                path=path,
+                line=line_no,
+                field="cohort_or_session",
+            )
+        try:
+            number = float(value)
+        except ValueError:
+            number = np.nan
+        if not np.isfinite(number):
+            raise ParseError(
+                f"not a finite number: {value!r}",
+                path=path,
+                line=line_no,
+                field="value",
+            )
+        values.setdefault(movement, {}).setdefault(statistic, {})[key] = number
     if kinds == {"cohort"}:
         return CohortTable(values)
     if kinds == {"session"}:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, determinism, exit codes, help."""
 
 import json
+import shutil
 
 import pytest
 
@@ -266,6 +267,22 @@ class TestClassifyChunks:
         assert err.startswith("error:") and "short.knm" in err
         assert "Traceback" not in err
 
+    def test_checkpoint_with_trailing_bytes_is_a_data_error(
+        self, synth_dir, trained_dir, tmp_path, capsys
+    ):
+        recording = sorted(
+            p for p in synth_dir.glob("*.csv") if ".annotations" not in p.name
+        )[0]
+        bad = tmp_path / "padded.knm"
+        bad.write_bytes((trained_dir / "model.knm").read_bytes() + b"\0" * 8)
+        code = run_cli(
+            "classify", "--recording", str(recording), "--checkpoint", str(bad)
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "trailing bytes" in err
+        assert "Traceback" not in err
+
 
 class TestConfigFile:
     def test_config_overrides_and_flag_precedence(self, synth_dir, tmp_path):
@@ -349,6 +366,22 @@ class TestAssessAndReport:
         assert (out / "cohort_comparison_jerk.csv").exists()
         assert (out / "cohort_comparison_squared_jerk.csv").exists()
         assert list(out.glob("improvement_P*.csv"))
+
+    @pytest.mark.parametrize(
+        "junk", [b"\xff", b"9" * 140_000], ids=["non-utf8", "long-field"]
+    )
+    def test_assess_malformed_bytes_is_a_data_error(
+        self, synth_dir, tmp_path, capsys, junk
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        signal = sorted(p for p in data.glob("*.csv") if ".annotations" not in p.name)[0]
+        signal.write_bytes(signal.read_bytes() + junk + b"\n")
+        code = run_cli("assess", "--data", str(data), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and signal.name in err
+        assert "Traceback" not in err
 
     def test_assess_requires_exactly_one_source(self, tmp_path):
         assert run_cli("assess", "--out", str(tmp_path)) == 2

@@ -1,7 +1,11 @@
 """Recording ingestion, round-trips, splits and augmentation."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kinemotion.dataset import (
     Annotation,
@@ -9,6 +13,7 @@ from kinemotion.dataset import (
     LabeledEpoch,
     Recording,
     SplitConfig,
+    _read_signal,
     augment_shift,
     extract_epochs,
     parse_recording,
@@ -170,6 +175,204 @@ class TestMalformedCorpus:
         with pytest.raises(ParseError) as err:
             parse_recording(sig)
         assert err.value.field == "fs_hz"
+
+
+def reference_parse_float(text, path, line, fieldname):
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(
+            f"not a number: {text!r}", path=path, line=line, field=fieldname
+        ) from None
+    if not np.isfinite(value):
+        raise ParseError(
+            f"non-finite value: {text!r}", path=path, line=line, field=fieldname
+        )
+    return value
+
+
+def reference_read_signal(path):
+    """The row-by-row signal reader that the bulk reader replaced."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty signal file", path=path, line=1) from None
+        if header != ["t", "ax", "ay", "az"]:
+            raise ParseError(
+                f"expected header t,ax,ay,az, got {','.join(header)}",
+                path=path,
+                line=1,
+                field="header",
+            )
+        times, rows = [], []
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                raise ParseError(
+                    f"expected 4 columns, got {len(row)}", path=path, line=line_no
+                )
+            times.append(reference_parse_float(row[0], path, line_no, "t"))
+            rows.append(
+                [
+                    reference_parse_float(row[1], path, line_no, "ax"),
+                    reference_parse_float(row[2], path, line_no, "ay"),
+                    reference_parse_float(row[3], path, line_no, "az"),
+                ]
+            )
+    if len(rows) < 2:
+        raise ParseError("signal needs at least 2 rows", path=path, line=2)
+    return np.asarray(times), np.asarray(rows)
+
+
+def outcome(read, path):
+    """What a reader makes of a file: array bytes, or the ParseError's details."""
+    try:
+        times, samples = read(path)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.field)
+    return ("ok", times.shape, samples.shape, times.tobytes(), samples.tobytes())
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_good = st.one_of(
+    _finite, _finite.map(lambda v: f'"{v}"'), _finite.map(lambda v: f" {v}\t")
+)
+_odd_text = st.sampled_from(["1_0", "nan", "-inf", "inf", "1e999", "abc", "", "1,0"])
+_odd = st.one_of(_odd_text, _odd_text.map(lambda v: f'"{v}"'))
+_value = st.one_of(_good, _odd)
+_good_row = st.lists(_good, min_size=4, max_size=4).map(",".join)
+_odd_line = st.one_of(
+    st.builds(
+        lambda row, i, odd: ",".join(row[:i] + [odd] + row[i + 1 :]),
+        st.lists(_good, min_size=4, max_size=4),
+        st.integers(0, 3),
+        _odd,
+    ),
+    st.lists(_good, min_size=3, max_size=5).map(",".join),
+    st.lists(_value, min_size=3, max_size=5).map(",".join),
+    st.sampled_from(["", "t,ax,ay", '"t",ax,ay,az']),
+)
+
+
+@st.composite
+def signal_texts(draw):
+    """A signal file: well-formed rows with up to two odd lines put anywhere."""
+    lines = ["t,ax,ay,az"] + draw(st.lists(_good_row, max_size=8))
+    for odd in draw(st.lists(_odd_line, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    endings = draw(
+        st.lists(
+            st.sampled_from(["\n", "\r\n", "\r"]),
+            min_size=len(lines),
+            max_size=len(lines),
+        )
+    )
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+class TestBulkSignalReader:
+    """The bulk signal reader agrees with the row-by-row reference."""
+
+    @settings(
+        max_examples=500,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=signal_texts())
+    def test_matches_reference_reader(self, tmp_path, text):
+        path = tmp_path / "sig.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(_read_signal, path) == outcome(reference_read_signal, path)
+
+    def test_matches_reference_on_written_recording(self, tmp_path):
+        path = write_fixture(tmp_path, make_recording(n=300, seed=3))
+        assert outcome(_read_signal, path) == outcome(reference_read_signal, path)
+        times, samples = _read_signal(path)
+        assert times.flags.c_contiguous and samples.flags.c_contiguous
+
+    @staticmethod
+    def signal(tmp_path, *rows):
+        path = tmp_path / "sig.csv"
+        path.write_text("t,ax,ay,az\n" + "".join(r + "\n" for r in rows))
+        return path
+
+    def test_wrong_column_count_names_line(self, tmp_path):
+        path = self.signal(tmp_path, "0.0,1,2,3", "0.1,1,2", "0.2,1,2,3")
+        with pytest.raises(ParseError, match="expected 4 columns, got 3") as err:
+            _read_signal(path)
+        assert err.value.line == 3 and err.value.field is None
+
+    def test_wide_row_of_numbers_names_line(self, tmp_path):
+        path = self.signal(tmp_path, "0.0,1,2,3", "0.1,1,2,3,4", "0.2,1,2,3")
+        with pytest.raises(ParseError, match="expected 4 columns, got 5") as err:
+            _read_signal(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_line_and_field(self, tmp_path, value):
+        path = self.signal(tmp_path, "0.0,1,2,3", f"0.1,1,{value},3")
+        with pytest.raises(ParseError, match="non-finite") as err:
+            _read_signal(path)
+        assert err.value.line == 3 and err.value.field == "ay"
+
+    @pytest.mark.parametrize("rows", [(), ("0.0,1,2,3",)])
+    def test_fewer_than_two_rows_rejected(self, tmp_path, rows):
+        path = self.signal(tmp_path, *rows)
+        with pytest.raises(ParseError, match="at least 2 rows") as err:
+            _read_signal(path)
+        assert err.value.line == 2
+
+    def test_bad_value_after_wrong_width_row(self, tmp_path):
+        path = self.signal(tmp_path, "0.0,1,2,3", "0.1,1,2,3,4", "0.2,x,2,3")
+        with pytest.raises(ParseError, match="got 5") as err:
+            _read_signal(path)
+        assert err.value.line == 3
+
+    def test_bad_value_before_wrong_width_row(self, tmp_path):
+        path = self.signal(tmp_path, "0.0,1,2,3", "0.1,x,2,3", "0.2,1,2")
+        with pytest.raises(ParseError, match="not a number") as err:
+            _read_signal(path)
+        assert err.value.line == 3 and err.value.field == "ax"
+
+
+class TestMalformedBytes:
+    """Undecodable bytes and over-long CSV fields end as ParseError."""
+
+    def _paths(self, tmp_path):
+        rec = make_recording(n=50, annotations=[Annotation(4, 30, "M1")])
+        sig = write_fixture(tmp_path, rec)
+        return sig, tmp_path / "rec.annotations.csv", tmp_path / "rec.meta"
+
+    @staticmethod
+    def corrupt_line(path, index, junk):
+        """Append ``junk`` (bytes) to the 0-based line ``index`` of a file."""
+        lines = path.read_bytes().split(b"\n")
+        lines[index] += junk
+        path.write_bytes(b"\n".join(lines))
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, which):
+        target = self._paths(tmp_path)[which]
+        self.corrupt_line(target, 2, b"\xff")
+        with pytest.raises(ParseError, match="not UTF-8") as err:
+            parse_recording(tmp_path / "rec.csv")
+        assert err.value.path == target and err.value.line == 3
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_over_long_field_names_file_and_line(self, tmp_path, which):
+        target = self._paths(tmp_path)[which]
+        self.corrupt_line(target, 1, b"9" * 140_000)
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            parse_recording(tmp_path / "rec.csv")
+        assert err.value.path == target and err.value.line == 2
+
+    def test_bad_byte_line_counts_every_line_ending(self, tmp_path):
+        sig = tmp_path / "sig.csv"
+        sig.write_bytes(b"t,ax,ay,az\r\n0.0,1,2,3\r0.1,1,2,3\n0.2,1,\xff2,3\n")
+        with pytest.raises(ParseError) as err:
+            _read_signal(sig)
+        assert err.value.line == 4
 
 
 class TestExtractEpochs:

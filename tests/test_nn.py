@@ -445,6 +445,60 @@ class TestCheckpoint:
         with pytest.raises(InvalidDataError, match="kernel"):
             load_checkpoint(path)
 
+    @classmethod
+    def saved_toy(cls, tmp_path):
+        """A toy checkpoint on disk, with its header and payload bytes."""
+        path = tmp_path / "model.knm"
+        save_checkpoint(path, toy_network(24), seed=24)
+        raw = path.read_bytes()
+        header_len = int.from_bytes(raw[4:8], "little")
+        return path, json.loads(raw[8 : 8 + header_len]), raw[8 + header_len :]
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        from kinemotion.errors import InvalidDataError
+
+        path, header, payload = self.saved_toy(tmp_path)
+        self.write_with_header(path, header, payload + b"\0")
+        with pytest.raises(InvalidDataError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_rejects_nan_weight(self, tmp_path):
+        from kinemotion.errors import InvalidDataError
+
+        path, header, payload = self.saved_toy(tmp_path)
+        nan = struct.pack("<d", float("nan"))
+        self.write_with_header(path, header, payload[:8] + nan + payload[16:])
+        with pytest.raises(InvalidDataError, match="non-finite"):
+            load_checkpoint(path)
+
+    def test_rejects_manifest_that_omits_a_parameter(self, tmp_path):
+        from kinemotion.errors import InvalidDataError
+
+        path, header, payload = self.saved_toy(tmp_path)
+        last = header["params"].pop()
+        assert last == {"key": "3.b", "shape": [4]}
+        self.write_with_header(path, header, payload[: -8 * 4])
+        with pytest.raises(InvalidDataError, match="omits 3.b"):
+            load_checkpoint(path)
+
+    def test_rejects_negative_layer_index(self, tmp_path):
+        from kinemotion.errors import InvalidDataError
+
+        path, header, payload = self.saved_toy(tmp_path)
+        header["params"][-1]["key"] = "-1.b"  # would alias layer 3
+        self.write_with_header(path, header, payload)
+        with pytest.raises(InvalidDataError, match="-1.b"):
+            load_checkpoint(path)
+
+    def test_rejects_parameter_named_twice(self, tmp_path):
+        from kinemotion.errors import InvalidDataError
+
+        path, header, payload = self.saved_toy(tmp_path)
+        header["params"].append(header["params"][-1])
+        self.write_with_header(path, header, payload + payload[-8 * 4 :])
+        with pytest.raises(InvalidDataError, match="twice"):
+            load_checkpoint(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.knm"
         path.write_bytes(b"NOPE" + b"\x00" * 16)

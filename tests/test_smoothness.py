@@ -244,6 +244,23 @@ class TestLoadTable:
         with pytest.raises(ParseError):
             load_table(bad)
 
+    @pytest.mark.parametrize(
+        "junk, message",
+        [(b"\xff", "not UTF-8"), (b"9" * 140_000, "field larger than field limit")],
+        ids=["non-utf8", "long-field"],
+    )
+    def test_malformed_bytes_raise_parse_error_with_line(self, tmp_path, junk, message):
+        from kinemotion.errors import ParseError
+
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(
+            b"movement,statistic,cohort_or_session,value\n"
+            b"M1,mean,healthy,1.5\nM1,mean,patient,2" + junk + b"\n"
+        )
+        with pytest.raises(ParseError, match=message) as err:
+            load_table(bad)
+        assert err.value.path == bad and err.value.line == 3
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_rejects_non_finite_value_with_line(self, tmp_path, value):
         from kinemotion.errors import ParseError
