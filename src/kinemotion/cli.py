@@ -29,6 +29,7 @@ from .classifier import (
 from .dataset import (
     KEY_MOVEMENTS,
     SplitConfig,
+    _not_utf8,
     extract_epochs,
     is_key_movement,
     load_dataset_dir,
@@ -39,7 +40,6 @@ from .errors import ConfigError, KinemotionError
 from .kinematics import window as window_series
 from .nn import load_checkpoint, save_checkpoint
 from .smoothness import (
-    SessionTable,
     aggregate_by_movement,
     cohort_compare,
     compare_cohort_table,
@@ -85,9 +85,11 @@ def _parse_config_value(name, field, raw):
 def load_config_file(path):
     """Split a key=value file into model and training overrides."""
     model_kw, train_kw = {}, {}
-    for line_no, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -172,12 +174,7 @@ def _cmd_train(args):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(
-        out / "model.knm",
-        net,
-        seed=train_cfg.seed,
-        extra={"input_len": model_cfg.input_len},
-    )
+    save_checkpoint(out / "model.knm", net, seed=train_cfg.seed)
     (out / "train_log.csv").write_text(log.to_csv(), encoding="utf-8")
     (out / "confusion.csv").write_text(log.confusion_to_csv(), encoding="utf-8")
     print(
@@ -188,20 +185,9 @@ def _cmd_train(args):
     return 0
 
 
-def _checkpoint_window(ckpt):
-    try:
-        window = int(ckpt.extra["input_len"])
-    except KeyError:
-        raise ConfigError(
-            "checkpoint does not record its input window length"
-        ) from None
-    ckpt.net.input_len = window
-    return window
-
-
 def _cmd_eval(args):
     ckpt = load_checkpoint(args.checkpoint)
-    epochs = _load_epochs(args.data, _checkpoint_window(ckpt))
+    epochs = _load_epochs(args.data, ckpt.net.input_len)
     _, test_set = _split(epochs, args)
     result = evaluate(ckpt.net, test_set)
     out = Path(args.out)
@@ -214,18 +200,12 @@ def _cmd_eval(args):
 
 def _cmd_classify(args):
     ckpt = load_checkpoint(args.checkpoint)
-    input_len = _checkpoint_window(ckpt)
+    input_len = ckpt.net.input_len
     rec = parse_recording(args.recording)
 
     if args.mode == "segments":
         result = extract_epochs(rec, input_len)
-        # mirror extract_epochs' selection so annotations align with epochs
-        key_anns = [
-            a
-            for a in rec.annotations
-            if is_key_movement(a.label) and a.end - a.start >= 2
-        ]
-        spans = [(a.start, a.end, a.label) for a in key_anns]
+        spans = [(a.start, a.end, a.label) for a in result.annotations]
         epochs = [labelled.epoch for labelled in result.epochs]
     else:
         epochs = window_series(rec.series, input_len, args.stride)
@@ -255,7 +235,7 @@ def _cmd_assess(args):
 
     if args.fixtures:
         table = load_table(args.fixtures)
-        if isinstance(table, SessionTable):
+        if table.kind == "session":
             flags = evolution_from_table(table, axis=args.axis)
             stem = f"improvement_{args.patient}" if args.patient else "improvement"
             _write_report(flags, args.out, stem)

@@ -67,6 +67,28 @@ class Annotation:
             )
 
 
+def annotation_fault(annotations, n):
+    """The first annotation, in start order, that ends past ``n`` samples or
+    overlaps its predecessor; None when there is none.
+
+    Returned as ``(index, field, message)``: the index into
+    ``annotations`` as given and the annotation-file column at fault.
+    """
+    prev = None
+    for i in sorted(range(len(annotations)), key=lambda i: annotations[i].start):
+        a = annotations[i]
+        if a.end > n:
+            return i, "end_index", (
+                f"annotation [{a.start}, {a.end}) exceeds series length {n}"
+            )
+        if prev is not None and a.start < prev.end:
+            return i, "start_index", (
+                f"annotation [{a.start}, {a.end}) overlaps [{prev.start}, {prev.end})"
+            )
+        prev = a
+    return None
+
+
 @dataclass(frozen=True)
 class Recording:
     """One wrist recording of one subject session, with labelled segments."""
@@ -91,18 +113,9 @@ class Recording:
         if self.group == "healthy" and self.session != 1:
             raise ContractError("healthy subjects are recorded in session 1 only")
         anns = tuple(sorted(self.annotations, key=lambda a: a.start))
-        n = len(self.series)
-        prev_end = 0
-        for a in anns:
-            if a.end > n:
-                raise ContractError(
-                    f"annotation [{a.start}, {a.end}) exceeds series length {n}"
-                )
-            if a.start < prev_end:
-                raise ContractError(
-                    f"annotations overlap at sample {a.start} ({a.label})"
-                )
-            prev_end = a.end
+        fault = annotation_fault(anns, len(self.series))
+        if fault is not None:
+            raise ContractError(fault[2])
         object.__setattr__(self, "annotations", anns)
 
     def segment(self, annotation: Annotation) -> TimeSeries3D:
@@ -248,7 +261,8 @@ def _read_signal(path):
 
 
 def _read_annotations(path):
-    anns = []
+    """Line numbers and annotations of an annotation file, in file order."""
+    lines, anns = [], []
     body = read_csv_body(path, ["start_index", "end_index", "label"], "annotation")
     for line_no, row in enumerate(body, start=2):
         if len(row) != 3:
@@ -268,8 +282,9 @@ def _read_annotations(path):
                 line=line_no,
                 field="start_index",
             )
-        anns.append((line_no, Annotation(start, end, row[2])))
-    return anns
+        lines.append(line_no)
+        anns.append(Annotation(start, end, row[2]))
+    return lines, anns
 
 
 def _read_metadata(path):
@@ -360,28 +375,11 @@ def parse_recording(path) -> Recording:
             field="t",
         )
 
-    n = len(samples)
-    annotations = []
-    for line_no, ann in _read_annotations(ann_path):
-        if ann.end > n:
-            raise ParseError(
-                f"annotation end {ann.end} exceeds series length {n}",
-                path=ann_path,
-                line=line_no,
-                field="end_index",
-            )
-        annotations.append((line_no, ann))
-    annotations.sort(key=lambda pair: pair[1].start)
-    prev_end, prev_line = 0, None
-    for line_no, ann in annotations:
-        if ann.start < prev_end:
-            raise ParseError(
-                f"annotation overlaps the one on line {prev_line}",
-                path=ann_path,
-                line=line_no,
-                field="start_index",
-            )
-        prev_end, prev_line = ann.end, line_no
+    lines, annotations = _read_annotations(ann_path)
+    fault = annotation_fault(annotations, len(samples))
+    if fault is not None:
+        i, field, message = fault
+        raise ParseError(message, path=ann_path, line=lines[i], field=field)
 
     series = TimeSeries3D(fs=fs, samples=samples, order=ACCELERATION)
     return Recording(
@@ -391,7 +389,7 @@ def parse_recording(path) -> Recording:
         hand=hand,
         scenario=scenario,
         series=series,
-        annotations=tuple(ann for _, ann in annotations),
+        annotations=tuple(annotations),
     )
 
 
@@ -444,9 +442,11 @@ def load_dataset_dir(directory) -> list[Recording]:
 
 @dataclass(frozen=True)
 class ExtractResult:
-    """Epochs pulled from a recording plus the count of skipped segments."""
+    """Epochs pulled from a recording, the annotation each came from (aligned
+    with ``epochs``) and the count of skipped segments."""
 
     epochs: tuple[LabeledEpoch, ...]
+    annotations: tuple[Annotation, ...]
     skipped: int = 0
 
 
@@ -459,13 +459,14 @@ def extract_epochs(rec: Recording, w: int) -> ExtractResult:
     """
     if w < 2:
         raise ContractError(f"epoch length must be >= 2, got {w}")
-    epochs, skipped = [], 0
+    epochs, used, skipped = [], [], 0
     for ann in rec.annotations:
         if not is_key_movement(ann.label):
             continue
         if ann.end - ann.start < 2:
             skipped += 1
             continue
+        used.append(ann)
         seg = resample(rec.segment(ann), w)
         epochs.append(
             LabeledEpoch(
@@ -475,7 +476,7 @@ def extract_epochs(rec: Recording, w: int) -> ExtractResult:
                 label=ann.label,
             )
         )
-    return ExtractResult(epochs=tuple(epochs), skipped=skipped)
+    return ExtractResult(tuple(epochs), tuple(used), skipped)
 
 
 def _round_half_up(value):

@@ -1,21 +1,21 @@
 """Single-file model checkpoints.
 
 Layout: the magic string ``KNM1``, a little-endian uint32 header
-length, a JSON header (layer specs, creation seed, parameter manifest
-of names and shapes, optional extras), then the raw little-endian
-float64 payloads in manifest order.
+length, a JSON header (creation seed, input window ``input_len``, layer
+specs, parameter manifest of names and shapes), then the raw
+little-endian float64 payloads in manifest order.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import InvalidDataError
+from ..errors import ContractError, InvalidDataError
 from .layers import Network, layer_from_spec
 
 MAGIC = b"KNM1"
@@ -25,16 +25,21 @@ MAGIC = b"KNM1"
 class Checkpoint:
     net: Network
     seed: int
-    extra: dict = field(default_factory=dict)
 
 
-def save_checkpoint(path, net: Network, seed: int, extra: dict | None = None) -> None:
+def _is_window(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+def save_checkpoint(path, net: Network, seed: int) -> None:
+    if not _is_window(net.input_len):
+        raise ContractError(f"network declares no input window: {net.input_len!r}")
     params = net.parameters()
     header = {
         "seed": int(seed),
+        "input_len": net.input_len,
         "layers": net.specs(),
         "params": [{"key": k, "shape": list(v.shape)} for k, v in params.items()],
-        "extra": extra or {},
     }
     blob = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
@@ -58,7 +63,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise InvalidDataError(f"{path}: header length {header_len} runs past the end")
     try:
         header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # covers UnicodeDecodeError and JSONDecodeError
         raise InvalidDataError(f"{path}: corrupt checkpoint header: {exc}") from None
 
     try:
@@ -68,11 +73,15 @@ def load_checkpoint(path) -> Checkpoint:
             (str(entry["key"]), tuple(int(d) for d in entry["shape"]))
             for entry in header["params"]
         ]
-        extra = dict(header.get("extra", {}))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise InvalidDataError(
             f"{path}: malformed checkpoint header: {exc!r}"
         ) from None
+    net.input_len = header.get("input_len")
+    if not _is_window(net.input_len):
+        raise InvalidDataError(
+            f"{path}: input_len must be a positive int, got {net.input_len!r}"
+        )
     if any(d < 0 for _, shape in manifest for d in shape):
         raise InvalidDataError(f"{path}: negative dimension in the parameter manifest")
     expected, seen = net.parameters(), set()
@@ -106,4 +115,4 @@ def load_checkpoint(path) -> Checkpoint:
         raise InvalidDataError(
             f"{path}: manifest does not fit the layers: {exc}"
         ) from None
-    return Checkpoint(net=net, seed=seed, extra=extra)
+    return Checkpoint(net=net, seed=seed)

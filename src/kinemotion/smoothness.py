@@ -7,7 +7,9 @@ underlying records always carry all three axes.
 Reference-table fixture format (also accepted from user files): CSV
 with header ``movement,statistic,cohort_or_session,value`` where
 statistic is mean|max|min and the third column is either a cohort name
-(healthy|patient) or a session number (1..4).
+(healthy|patient) or a session number (1..4).  Each movement in a table
+needs every statistic in every column (both cohorts, or each session
+number the table uses) exactly once.
 """
 
 from __future__ import annotations
@@ -107,40 +109,49 @@ def aggregate_by_movement(stats_by_record) -> dict[str, AxisStats]:
 
 
 @dataclass(frozen=True)
-class CohortTable:
-    """movement -> statistic -> cohort -> value, for a single axis."""
+class ReferenceTable:
+    """movement -> statistic -> column -> value, for a single axis.
 
+    ``kind`` is "cohort", with columns ``COHORTS``, or "session", with
+    the session numbers in ascending order.
+    """
+
+    kind: str
+    columns: tuple
     values: dict
 
-    def cell(self, movement, statistic, cohort):
-        return self.values[movement][statistic][cohort]
+    def __post_init__(self):
+        if self.kind not in ("cohort", "session"):
+            raise ContractError(f"unknown table kind {self.kind!r}")
 
-    def movements(self):
-        return tuple(self.values)
+    def cell(self, movement, statistic, column):
+        return self.values[movement][statistic][column]
+
+    def report_parts(self):
+        label = "{}" if self.kind == "cohort" else "session{}"
+        header = ["movement"] + [
+            f"{s}_{label.format(c)}" for s in STATISTICS for c in self.columns
+        ]
+        json_columns = sorted(self.columns, key=str)
+        rows, payload = [], {}
+        for movement in sorted(self.values):
+            rows.append(
+                [movement]
+                + [self.cell(movement, s, c) for s in STATISTICS for c in self.columns]
+            )
+            # keys in sorted order at every level, as the published JSON has them
+            payload[movement] = {
+                s: {str(c): self.cell(movement, s, c) for c in json_columns}
+                for s in sorted(STATISTICS)
+            }
+        return header, rows, payload
 
 
-@dataclass(frozen=True)
-class SessionTable:
-    """movement -> statistic -> session -> value, for a single axis."""
+def load_table(path) -> ReferenceTable:
+    """Load a fixture CSV, inferring cohort vs session layout.
 
-    values: dict
-
-    def cell(self, movement, statistic, session):
-        return self.values[movement][statistic][session]
-
-    def movements(self):
-        return tuple(self.values)
-
-    def sessions(self):
-        found = set()
-        for stats in self.values.values():
-            for per_session in stats.values():
-                found.update(per_session)
-        return tuple(sorted(found))
-
-
-def load_table(path) -> CohortTable | SessionTable:
-    """Load a fixture CSV, inferring cohort vs session layout."""
+    Every movement present needs every statistic in every column, once.
+    """
     path = Path(path)
     values: dict = {}
     kinds = set()
@@ -190,14 +201,33 @@ def load_table(path) -> CohortTable | SessionTable:
                 line=line_no,
                 field="value",
             )
-        values.setdefault(movement, {}).setdefault(statistic, {})[key] = number
-    if kinds == {"cohort"}:
-        return CohortTable(values)
-    if kinds == {"session"}:
-        return SessionTable(values)
-    raise ParseError(
-        "table mixes cohort and session rows (or is empty)", path=path
-    )
+        cells = values.setdefault(movement, {}).setdefault(statistic, {})
+        if key in cells:
+            raise ParseError(
+                f"repeated cell {movement} {statistic} {key}",
+                path=path,
+                line=line_no,
+                field="cohort_or_session",
+            )
+        cells[key] = number
+    if len(kinds) != 1:
+        raise ParseError(
+            "table mixes cohort and session rows (or is empty)", path=path
+        )
+    (kind,) = kinds
+    columns = COHORTS
+    if kind == "session":
+        columns = tuple(
+            sorted({k for stats in values.values() for c in stats.values() for k in c})
+        )
+    for movement, stats in values.items():
+        for statistic in STATISTICS:
+            for column in columns:
+                if column not in stats.get(statistic, {}):
+                    raise ParseError(
+                        f"missing cell {movement} {statistic} {column}", path=path
+                    )
+    return ReferenceTable(kind, columns, values)
 
 
 def cohort_table_from_stats(stats_by_movement, axis="x") -> dict:
@@ -242,6 +272,19 @@ class CohortComparison:
     def direction(self, movement, statistic) -> str:
         return self.cell(movement, statistic).direction
 
+    def report_parts(self):
+        header = ["movement", "statistic", "healthy", "patient", "ratio", "direction"]
+        rows = [
+            [m, s, cell.healthy, cell.patient, cell.ratio, cell.direction]
+            for (m, s), cell in sorted(self.cells.items())
+        ]
+        cells = [dict(zip(header, row)) for row in rows]
+        for cell in cells:
+            # JSON has no infinity: a ratio over a zero healthy cell is null
+            if np.isinf(cell["ratio"]):
+                cell["ratio"] = None
+        return header, rows, {"axis": self.axis, "cells": cells}
+
 
 def _compare_cell(healthy, patient):
     if abs(healthy) > 0:
@@ -281,7 +324,7 @@ def cohort_compare(healthy, patient, axis="x") -> CohortComparison:
     )
 
 
-def compare_cohort_table(table: CohortTable, axis="x") -> CohortComparison:
+def compare_cohort_table(table: ReferenceTable, axis="x") -> CohortComparison:
     """Contrast straight from a loaded cohort reference table."""
     healthy, patient = {}, {}
     for movement, stats in table.values.items():
@@ -316,6 +359,19 @@ class ImprovementFlags:
         return tuple(
             m for m, ev in self.movements.items() if ev.improved_sessions
         )
+
+    def report_parts(self):
+        rows, movements = [], {}
+        for movement, ev in sorted(self.movements.items()):
+            improved = sorted(ev.improved_sessions)
+            rows.append([movement, ev.baseline, ";".join(map(str, improved))])
+            movements[movement] = {
+                "baseline": ev.baseline,
+                "session_means": {str(s): v for s, v in ev.session_means.items()},
+                "improved_sessions": improved,
+            }
+        header = ["movement", "baseline", "improved_sessions"]
+        return header, rows, {"axis": self.axis, "movements": movements}
 
 
 def evolution_from_means(means_by_movement: dict, axis="x") -> ImprovementFlags:
@@ -363,7 +419,7 @@ def session_evolution(records, axis="x") -> ImprovementFlags:
     return evolution_from_means(means, axis=axis)
 
 
-def evolution_from_table(table: SessionTable, axis="x") -> ImprovementFlags:
+def evolution_from_table(table: ReferenceTable, axis="x") -> ImprovementFlags:
     """Flags recomputed from a loaded session reference table (mean rows)."""
     means = {m: dict(stats["mean"]) for m, stats in table.values.items()}
     return evolution_from_means(means, axis=axis)
@@ -374,135 +430,25 @@ def evolution_from_table(table: SessionTable, axis="x") -> ImprovementFlags:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    """Period decimals, six significant digits."""
-    return f"{value:.6g}"
-
-
 def render_report(obj, fmt="csv") -> str:
     """Render a comparison, flags object or reference table.
 
+    Each of them supplies a CSV header, CSV rows and a JSON payload from
+    the same cells.  CSV floats have period decimals and six significant
+    digits.
     CSV column order follows the published layout: statistics grouped
     mean/max/min, each split healthy/patient or by session.
     """
     if fmt not in ("csv", "json"):
         raise ContractError(f"unknown report format {fmt!r}")
-    if isinstance(obj, CohortTable):
-        return _render_cohort_table(obj, fmt)
-    if isinstance(obj, SessionTable):
-        return _render_session_table(obj, fmt)
-    if isinstance(obj, CohortComparison):
-        return _render_comparison(obj, fmt)
-    if isinstance(obj, ImprovementFlags):
-        return _render_flags(obj, fmt)
-    raise ContractError(f"cannot render object of type {type(obj).__name__}")
-
-
-def _render_cohort_table(table: CohortTable, fmt):
+    if not isinstance(obj, (ReferenceTable, CohortComparison, ImprovementFlags)):
+        raise ContractError(f"cannot render object of type {type(obj).__name__}")
+    header, rows, payload = obj.report_parts()
     if fmt == "json":
-        return json.dumps(
-            {
-                m: {s: dict(stats[s]) for s in STATISTICS}
-                for m, stats in table.values.items()
-            },
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["movement"]
-    for statistic in STATISTICS:
-        header += [f"{statistic}_{cohort}" for cohort in COHORTS]
-    writer.writerow(header)
-    for movement in sorted(table.values):
-        row = [movement]
-        for statistic in STATISTICS:
-            row += [_fmt(table.cell(movement, statistic, c)) for c in COHORTS]
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _render_session_table(table: SessionTable, fmt):
-    sessions = table.sessions()
-    if fmt == "json":
-        return json.dumps(
-            {
-                m: {s: {str(k): v for k, v in stats[s].items()} for s in STATISTICS}
-                for m, stats in table.values.items()
-            },
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["movement"]
-    for statistic in STATISTICS:
-        header += [f"{statistic}_session{s}" for s in sessions]
-    writer.writerow(header)
-    for movement in sorted(table.values):
-        row = [movement]
-        for statistic in STATISTICS:
-            row += [_fmt(table.cell(movement, statistic, s)) for s in sessions]
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _render_comparison(comparison: CohortComparison, fmt):
-    if fmt == "json":
-        payload = {
-            "axis": comparison.axis,
-            "cells": [
-                {
-                    "movement": movement,
-                    "statistic": statistic,
-                    "healthy": cell.healthy,
-                    "patient": cell.patient,
-                    # JSON has no infinity: a ratio over a zero healthy cell is null
-                    "ratio": None if np.isinf(cell.ratio) else cell.ratio,
-                    "direction": cell.direction,
-                }
-                for (movement, statistic), cell in sorted(comparison.cells.items())
-            ],
-        }
         return json.dumps(payload, indent=2, allow_nan=False)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["movement", "statistic", "healthy", "patient", "ratio", "direction"])
-    for (movement, statistic), cell in sorted(comparison.cells.items()):
-        writer.writerow(
-            [
-                movement,
-                statistic,
-                _fmt(cell.healthy),
-                _fmt(cell.patient),
-                _fmt(cell.ratio),
-                cell.direction,
-            ]
-        )
-    return buf.getvalue()
-
-
-def _render_flags(flags: ImprovementFlags, fmt):
-    if fmt == "json":
-        payload = {
-            "axis": flags.axis,
-            "movements": {
-                movement: {
-                    "baseline": ev.baseline,
-                    "session_means": {str(s): v for s, v in ev.session_means.items()},
-                    "improved_sessions": sorted(ev.improved_sessions),
-                }
-                for movement, ev in sorted(flags.movements.items())
-            },
-        }
-        return json.dumps(payload, indent=2, allow_nan=False)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["movement", "baseline", "improved_sessions"])
-    for movement, ev in sorted(flags.movements.items()):
-        writer.writerow(
-            [movement, _fmt(ev.baseline), ";".join(str(s) for s in sorted(ev.improved_sessions))]
-        )
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
     return buf.getvalue()

@@ -4,6 +4,8 @@ import json
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kinemotion import bundled_table
 from kinemotion.cli import build_parser, run
@@ -283,6 +285,50 @@ class TestClassifyChunks:
         assert err.startswith("error:") and "trailing bytes" in err
         assert "Traceback" not in err
 
+    @staticmethod
+    def first_recording(synth_dir):
+        return sorted(p for p in synth_dir.glob("*.csv") if ".annotations" not in p.name)[0]
+
+    def test_checkpoint_with_infinite_seed_is_a_data_error(
+        self, synth_dir, trained_dir, tmp_path, capsys
+    ):
+        raw = (trained_dir / "model.knm").read_bytes()
+        header_len = int.from_bytes(raw[4:8], "little")
+        header = json.loads(raw[8 : 8 + header_len])
+        header["seed"] = float("inf")
+        blob = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "infinite_seed.knm"
+        bad.write_bytes(b"KNM1" + len(blob).to_bytes(4, "little") + blob
+                        + raw[8 + header_len :])
+        code = run_cli(
+            "classify", "--recording", str(self.first_recording(synth_dir)),
+            "--checkpoint", str(bad),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "infinite_seed.knm" in err
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_checkpoint_exits_0_or_2(self, synth_dir, trained_dir, tmp_path, data):
+        raw = bytearray((trained_dir / "model.knm").read_bytes())
+        header_end = 8 + int.from_bytes(raw[4:8], "little")
+        where = data.draw(st.integers(0, header_end - 1), label="where")
+        raw[where] = data.draw(
+            st.integers(0, 255).filter(lambda b: b != raw[where]), label="byte"
+        )
+        bad = tmp_path / "mutated.knm"
+        bad.write_bytes(bytes(raw))
+        code = run_cli(
+            "classify", "--recording", str(self.first_recording(synth_dir)),
+            "--checkpoint", str(bad), "--out", str(tmp_path / "out.csv"),
+        )
+        assert code in (0, 2)
+
 
 class TestConfigFile:
     def test_config_overrides_and_flag_precedence(self, synth_dir, tmp_path):
@@ -315,6 +361,20 @@ class TestConfigFile:
             "--seed", "3",
         ) == 0
         assert (out / "model.knm").exists()
+
+    def test_non_utf8_config_is_a_data_error(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"epochs=1\n# caf\xe9\nlr=0.001\n")
+        code = run_cli(
+            "train",
+            "--data", str(synth_dir),
+            "--out", str(tmp_path / "x"),
+            "--config", str(cfg),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "latin1.cfg" in err and "line 2" in err
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_config_key_is_a_hard_error(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -385,6 +445,27 @@ class TestAssessAndReport:
 
     def test_assess_requires_exactly_one_source(self, tmp_path):
         assert run_cli("assess", "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("command", ["report", "assess"])
+    @pytest.mark.parametrize(
+        "name, drop",
+        [
+            ("patient_100", lambda r: r[0] == "M2" and r[2] == "4"),
+            ("cohort_jerk", lambda r: r[:3] == ["M3", "min", "patient"]),
+            ("cohort_squared_jerk", lambda r: r[:2] == ["M4", "mean"]),
+        ],
+        ids=["session-column", "cohort-cell", "no-mean-rows"],
+    )
+    def test_incomplete_table_is_a_data_error(self, tmp_path, capsys, command, name, drop):
+        lines = bundled_table(name).read_text().splitlines()
+        table = tmp_path / f"{name}.csv"
+        table.write_text(
+            "\n".join(lines[:1] + [l for l in lines[1:] if not drop(l.split(","))]) + "\n"
+        )
+        code = run_cli(command, "--fixtures", str(table), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: missing cell") and table.name in err
 
     def test_report_renders_both_formats(self, tmp_path):
         out = tmp_path / "report"

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kinemotion.errors import ContractError
 from kinemotion.nn import (
@@ -261,7 +263,8 @@ def toy_network(seed, input_len=12):
             ReLU(),
             LSTM(4, 5, rng=rng),
             Dense(5, 4, rng=rng),
-        ]
+        ],
+        input_len=input_len,
     )
 
 
@@ -390,11 +393,11 @@ class TestCheckpoint:
         x = rng.normal(size=(1, 3, 12))
         expected = net.forward(x)
         path = tmp_path / "model.knm"
-        save_checkpoint(path, net, seed=12, extra={"input_len": 12})
+        save_checkpoint(path, net, seed=12)
         ckpt = load_checkpoint(path)
         np.testing.assert_array_equal(ckpt.net.forward(x), expected)
         assert ckpt.seed == 12
-        assert ckpt.extra == {"input_len": 12}
+        assert ckpt.net.input_len == 12
         assert path.read_bytes()[:4] == b"KNM1"
 
     @staticmethod
@@ -498,6 +501,76 @@ class TestCheckpoint:
         self.write_with_header(path, header, payload + payload[-8 * 4 :])
         with pytest.raises(InvalidDataError, match="twice"):
             load_checkpoint(path)
+
+    def test_save_refuses_network_without_window(self, tmp_path):
+        net = toy_network(24, input_len=None)
+        with pytest.raises(ContractError, match="window"):
+            save_checkpoint(tmp_path / "model.knm", net, seed=24)
+        assert not (tmp_path / "model.knm").exists()
+
+    @pytest.mark.parametrize(
+        "window", [None, 0, -12, True, 12.0, "12", [12]],
+        ids=["missing", "zero", "negative", "bool", "float", "string", "list"],
+    )
+    def test_rejects_window_that_is_not_a_positive_int(self, tmp_path, window):
+        from kinemotion.errors import InvalidDataError
+
+        path, header, payload = self.saved_toy(tmp_path)
+        if window is None:
+            del header["input_len"]  # the layout written before the window moved
+        else:
+            header["input_len"] = window
+        self.write_with_header(path, header, payload)
+        with pytest.raises(InvalidDataError, match="input_len"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("seed", [float("inf"), float("-inf")])
+    def test_rejects_non_finite_seed(self, tmp_path, seed):
+        from kinemotion.errors import InvalidDataError
+
+        path, header, payload = self.saved_toy(tmp_path)
+        header["seed"] = seed
+        self.write_with_header(path, header, payload)
+        with pytest.raises(InvalidDataError, match="malformed checkpoint header"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def loads_or_rejects(path):
+        """A checkpoint file either loads with its window or raises InvalidDataError."""
+        from kinemotion.errors import InvalidDataError
+
+        try:
+            ckpt = load_checkpoint(path)
+        except InvalidDataError:
+            return
+        assert type(ckpt.net.input_len) is int and ckpt.net.input_len >= 1
+
+    def test_every_truncation_loads_or_is_rejected(self, tmp_path):
+        path, _, _ = self.saved_toy(tmp_path)
+        raw = path.read_bytes()
+        for size in range(len(raw)):
+            path.write_bytes(raw[:size])
+            self.loads_or_rejects(path)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_single_byte_mutation_loads_or_is_rejected(self, tmp_path, data):
+        path, _, _ = self.saved_toy(tmp_path)
+        raw = bytearray(path.read_bytes())
+        # half the mutations land in the magic, length field and JSON header
+        header_end = 8 + int.from_bytes(raw[4:8], "little")
+        where = data.draw(
+            st.integers(0, header_end - 1) | st.integers(0, len(raw) - 1), label="where"
+        )
+        raw[where] = data.draw(
+            st.integers(0, 255).filter(lambda b: b != raw[where]), label="byte"
+        )
+        path.write_bytes(bytes(raw))
+        self.loads_or_rejects(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.knm"

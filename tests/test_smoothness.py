@@ -11,11 +11,11 @@ from kinemotion import bundled_table
 from kinemotion.errors import ContractError, DegenerateInputError
 from kinemotion.kinematics import AxisStats, TimeSeries3D, differentiate, segment_stats, squared_jerk
 from kinemotion.smoothness import (
+    COHORTS,
     EQUAL,
     HEALTHY_HIGHER,
     PATIENT_HIGHER,
-    CohortTable,
-    SessionTable,
+    ReferenceTable,
     SmoothnessRecord,
     aggregate_stats,
     cohort_compare,
@@ -233,8 +233,8 @@ class TestReferenceEvolutionTables:
 
 class TestLoadTable:
     def test_cohort_and_session_detection(self):
-        assert isinstance(load_table(bundled_table("cohort_jerk")), CohortTable)
-        assert isinstance(load_table(bundled_table("patient_100")), SessionTable)
+        assert load_table(bundled_table("cohort_jerk")).kind == "cohort"
+        assert load_table(bundled_table("patient_100")).kind == "session"
 
     def test_rejects_bad_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -274,6 +274,54 @@ class TestLoadTable:
             load_table(bad)
         assert err.value.line == 3 and err.value.field == "value"
 
+
+def table_without(tmp_path, name, drop):
+    """A bundled table written to ``tmp_path`` without the rows ``drop`` matches."""
+    lines = bundled_table(name).read_text().splitlines()
+    kept = [lines[0]] + [l for l in lines[1:] if not drop(l.split(","))]
+    assert len(kept) < len(lines)
+    path = tmp_path / f"{name}.csv"
+    path.write_text("\n".join(kept) + "\n")
+    return path
+
+
+# a session column missing for one movement, a missing cohort cell and a
+# movement with no mean rows; each names the first cell it lacks
+INCOMPLETE_TABLES = {
+    "session-column": ("patient_100", lambda r: r[0] == "M2" and r[2] == "4", "M2 mean 4"),
+    "cohort-cell": ("cohort_jerk", lambda r: r[:3] == ["M3", "min", "patient"],
+                    "M3 min patient"),
+    "no-mean-rows": ("cohort_squared_jerk", lambda r: r[:2] == ["M4", "mean"],
+                     "M4 mean healthy"),
+}
+
+
+class TestTableCompleteness:
+    @pytest.mark.parametrize("shape", sorted(INCOMPLETE_TABLES))
+    def test_incomplete_table_names_the_missing_cell(self, tmp_path, shape):
+        from kinemotion.errors import ParseError
+
+        name, drop, cell = INCOMPLETE_TABLES[shape]
+        path = table_without(tmp_path, name, drop)
+        with pytest.raises(ParseError, match=f"missing cell {cell}") as err:
+            load_table(path)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("name", ["cohort_jerk", "patient_101"])
+    def test_repeated_cell_names_line_and_field(self, tmp_path, name):
+        from kinemotion.errors import ParseError
+
+        lines = bundled_table(name).read_text().splitlines()
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(lines + [lines[3]]) + "\n")
+        with pytest.raises(ParseError, match="repeated cell") as err:
+            load_table(path)
+        assert err.value.line == len(lines) + 1
+        assert err.value.field == "cohort_or_session"
+
+    def test_columns_are_ordered(self):
+        assert load_table(bundled_table("cohort_jerk")).columns == ("healthy", "patient")
+        assert load_table(bundled_table("patient_103")).columns == (1, 2, 3, 4)
 
 class TestRenderReport:
     def test_cohort_table_csv_shows_published_means(self):
@@ -337,7 +385,9 @@ class TestRenderReport:
         assert len(lines) == 5
 
     def test_six_significant_digits(self):
-        table = CohortTable(
+        table = ReferenceTable(
+            kind="cohort",
+            columns=COHORTS,
             values={
                 "M1": {
                     "mean": {"healthy": 1.23456789, "patient": 0.000123456789},
@@ -384,7 +434,7 @@ class TestReportJson:
 
         table = load_table(bundled_table(name))
         derived = (
-            compare_cohort_table(table) if isinstance(table, CohortTable)
+            compare_cohort_table(table) if table.kind == "cohort"
             else evolution_from_table(table)
         )
         for obj in (table, derived):
