@@ -12,12 +12,14 @@ a full pass over the training data is spelled out as "training epoch".
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import KEY_MOVEMENTS, augment_shift, label_index
 from .errors import ConfigError, ContractError, TrainingDiverged
+from .kinematics import AXES
 from .nn import (
     LSTM,
     Adam,
@@ -45,7 +47,6 @@ class ModelConfig:
     """
 
     input_len: int = 128
-    in_channels: int = 3
     conv_channels: tuple[int, ...] = (32, 64, 64, 64)
     conv_kernels: tuple[int, ...] = (8, 4, 4, 4)
     conv_strides: tuple[int, ...] = (2, 1, 1, 1)
@@ -66,7 +67,7 @@ class ModelConfig:
             raise ConfigError("pool kernels and strides must be >= 1")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.lstm_hidden < 1 or self.input_len < 1 or self.in_channels < 1:
+        if self.lstm_hidden < 1 or self.input_len < 1:
             raise ConfigError("sizes must be >= 1")
 
     @classmethod
@@ -121,7 +122,7 @@ def build_model(cfg: ModelConfig, seed: int) -> Network:
     rng = np.random.default_rng(seed)
     ch, ks, ss = cfg.conv_channels, cfg.conv_kernels, cfg.conv_strides
     layers = [
-        Conv1D(cfg.in_channels, ch[0], ks[0], ss[0], rng=rng),
+        Conv1D(len(AXES), ch[0], ks[0], ss[0], rng=rng),
         ReLU(),
         MaxPool1D(cfg.pool_kernels[0], cfg.pool_strides[0]),
         Dropout(cfg.dropout),
@@ -156,6 +157,8 @@ class TrainConfig:
             raise ConfigError(f"class_weights must have {N_CLASSES} entries")
         if min(self.class_weights) <= 0:
             raise ConfigError("class_weights must be positive")
+        if not 0 <= self.lr < math.inf:  # also false for NaN
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
 
 
 @dataclass

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/configuration error.
 Option precedence: command-line flag > config file > built-in default.
-Config files are UTF-8 ``key=value`` lines (``#`` comments) whose keys
-are field names of the model or training configuration; unknown keys
-are rejected.
+Config files are UTF-8 ``key=value`` lines (``#`` comments), read by
+the same reader as recording metadata, whose keys are field names of
+the model or training configuration; unknown and repeated keys are
+rejected, and numbers must be finite.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ from .classifier import (
 from .dataset import (
     KEY_MOVEMENTS,
     SplitConfig,
-    _not_utf8,
+    _parse_float,
+    _parse_int,
     extract_epochs,
     is_key_movement,
     load_dataset_dir,
     parse_recording,
+    read_key_values,
     split_train_test,
 )
 from .errors import ConfigError, KinemotionError
@@ -66,43 +69,22 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
-def _parse_config_value(name, field, raw):
-    kind = field.type
-    try:
-        if "tuple" in kind:
-            parts = [p for p in raw.replace(",", " ").split() if p]
-            caster = float if "float" in kind else int
-            return tuple(caster(p) for p in parts)
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"bad value for {name!r}: {raw!r}") from None
-    return raw
+def _parse_config_value(field, raw, path, line):
+    """An int, a float or a tuple of them (items split on commas or spaces)."""
+    parse = _parse_float if "float" in field.type else _parse_int
+    if "tuple" in field.type:
+        items = raw.replace(",", " ").split()
+        return tuple(parse(item, path, line, field.name) for item in items)
+    return parse(raw, path, line, field.name)
 
 
 def load_config_file(path):
     """Split a key=value file into model and training overrides."""
+    fields = {**_MODEL_FIELDS, **_TRAIN_FIELDS}
     model_kw, train_kw = {}, {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in _MODEL_FIELDS:
-            model_kw[key] = _parse_config_value(key, _MODEL_FIELDS[key], value)
-        elif key in _TRAIN_FIELDS:
-            train_kw[key] = _parse_config_value(key, _TRAIN_FIELDS[key], value)
-        else:
-            raise ConfigError(f"{path}:{line_no}: unknown configuration key {key!r}")
+    for key, (line, raw) in read_key_values(path, fields, "configuration").items():
+        kw = model_kw if key in _MODEL_FIELDS else train_kw
+        kw[key] = _parse_config_value(fields[key], raw, path, line)
     return model_kw, train_kw
 
 
@@ -110,15 +92,9 @@ def _resolve_configs(args):
     model_kw, train_kw = {}, {}
     if getattr(args, "config", None):
         model_kw, train_kw = load_config_file(args.config)
-    for name, value in (
-        ("epochs", args.epochs),
-        ("batch_size", args.batch_size),
-        ("lr", args.lr),
-        ("augment_max_frac", args.augment_max_frac),
-        ("seed", args.seed),
-    ):
-        if value is not None:
-            train_kw[name] = value
+    for name in _TRAIN_FIELDS:  # flags share field names; class_weights has none
+        if getattr(args, name, None) is not None:
+            train_kw[name] = getattr(args, name)
     if args.window is not None:
         model_kw["input_len"] = args.window
     return ModelConfig(**model_kw), TrainConfig(**train_kw)

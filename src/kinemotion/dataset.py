@@ -9,6 +9,8 @@ A recording on disk is three sibling files sharing a stem:
 * ``<stem>.meta`` -- ``key=value`` lines: subject_id, group
   (healthy|patient), session, hand (dominant|nondominant|both),
   scenario (L1|L2), fs_hz.
+
+The train/test split is always stratified by movement class.
 """
 
 from __future__ import annotations
@@ -49,6 +51,18 @@ def label_index(label: str) -> int:
         raise ContractError(f"not a key movement label: {label!r}") from None
 
 
+def annotation_value_fault(start, end, label):
+    """The first broken rule of one annotation as ``(field, message)``, naming
+    the annotation-file column at fault; None when there is none."""
+    if label not in ALL_LABELS:
+        return "label", f"unknown movement label {label!r}"
+    if not (0 <= start < end):
+        return "start_index", (
+            f"annotation range must satisfy 0 <= start < end, got [{start}, {end})"
+        )
+    return None
+
+
 @dataclass(frozen=True)
 class Annotation:
     """Half-open sample range [start, end) carrying a movement label."""
@@ -58,13 +72,9 @@ class Annotation:
     label: str
 
     def __post_init__(self):
-        if self.label not in ALL_LABELS:
-            raise ContractError(f"unknown movement label {self.label!r}")
-        if not (0 <= self.start < self.end):
-            raise ContractError(
-                f"annotation range must satisfy 0 <= start < end, "
-                f"got [{self.start}, {self.end})"
-            )
+        fault = annotation_value_fault(self.start, self.end, self.label)
+        if fault is not None:
+            raise ContractError(fault[1])
 
 
 def annotation_fault(annotations, n):
@@ -89,6 +99,24 @@ def annotation_fault(annotations, n):
     return None
 
 
+def metadata_fault(group, session, hand, scenario):
+    """The first broken rule of a recording's metadata as ``(key, message)``,
+    naming the ``.meta`` key at fault; None when there is none."""
+    if group not in GROUPS:
+        return "group", f"group must be one of {'|'.join(GROUPS)}, got {group!r}"
+    if hand not in HANDS:
+        return "hand", f"hand must be one of {'|'.join(HANDS)}, got {hand!r}"
+    if scenario not in SCENARIOS:
+        return "scenario", (
+            f"scenario must be one of {'|'.join(SCENARIOS)}, got {scenario!r}"
+        )
+    if session < 1:
+        return "session", f"session must be >= 1, got {session}"
+    if group == "healthy" and session != 1:
+        return "session", "healthy subjects are recorded in session 1 only"
+    return None
+
+
 @dataclass(frozen=True)
 class Recording:
     """One wrist recording of one subject session, with labelled segments."""
@@ -102,16 +130,9 @@ class Recording:
     annotations: tuple[Annotation, ...] = ()
 
     def __post_init__(self):
-        if self.group not in GROUPS:
-            raise ContractError(f"group must be one of {GROUPS}, got {self.group!r}")
-        if self.hand not in HANDS:
-            raise ContractError(f"hand must be one of {HANDS}, got {self.hand!r}")
-        if self.scenario not in SCENARIOS:
-            raise ContractError(f"scenario must be one of {SCENARIOS}")
-        if self.session < 1:
-            raise ContractError(f"session must be >= 1, got {self.session}")
-        if self.group == "healthy" and self.session != 1:
-            raise ContractError("healthy subjects are recorded in session 1 only")
+        fault = metadata_fault(self.group, self.session, self.hand, self.scenario)
+        if fault is not None:
+            raise ContractError(fault[1])
         anns = tuple(sorted(self.annotations, key=lambda a: a.start))
         fault = annotation_fault(anns, len(self.series))
         if fault is not None:
@@ -139,7 +160,6 @@ class LabeledEpoch:
 class SplitConfig:
     train_fraction: float = 0.8
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.train_fraction < 1.0):
@@ -271,24 +291,23 @@ def _read_annotations(path):
             )
         start = _parse_int(row[0], path, line_no, "start_index")
         end = _parse_int(row[1], path, line_no, "end_index")
-        if row[2] not in ALL_LABELS:
-            raise ParseError(
-                f"unknown label {row[2]!r}", path=path, line=line_no, field="label"
-            )
-        if not (0 <= start < end):
-            raise ParseError(
-                f"bad range [{start}, {end})",
-                path=path,
-                line=line_no,
-                field="start_index",
-            )
+        fault = annotation_value_fault(start, end, row[2])
+        if fault is not None:
+            raise ParseError(fault[1], path=path, line=line_no, field=fault[0])
         lines.append(line_no)
         anns.append(Annotation(start, end, row[2]))
     return lines, anns
 
 
-def _read_metadata(path):
-    meta = {}
+def read_key_values(path, keys, what) -> dict:
+    """The ``key=value`` lines of a UTF-8 file as ``{key: (line, value)}``.
+
+    Blank lines and ``#`` comments are skipped; keys and values are
+    stripped.  Bytes that are not UTF-8, a line without ``=``, a key
+    not in ``keys`` (``unknown {what} key``) or a key given twice raise
+    :class:`ParseError` naming the line.
+    """
+    found = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -302,15 +321,20 @@ def _read_metadata(path):
             raise ParseError("expected key=value", path=path, line=line_no)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _META_KEYS:
+        if key not in keys:
             raise ParseError(
-                f"unknown metadata key {key!r}", path=path, line=line_no, field=key
+                f"unknown {what} key {key!r}", path=path, line=line_no, field=key
             )
-        if key in meta:
+        if key in found:
             raise ParseError(
-                f"duplicate metadata key {key!r}", path=path, line=line_no, field=key
+                f"duplicate {what} key {key!r}", path=path, line=line_no, field=key
             )
-        meta[key] = (line_no, value)
+        found[key] = (line_no, value)
+    return found
+
+
+def _read_metadata(path):
+    meta = read_key_values(path, _META_KEYS, "metadata")
     for key in _META_KEYS:
         if key not in meta:
             raise ParseError(f"missing metadata key {key!r}", path=path, field=key)
@@ -328,34 +352,18 @@ def parse_recording(path) -> Recording:
     times, samples = _read_signal(sig_path)
     meta = _read_metadata(meta_path)
 
-    fs = _parse_float(meta["fs_hz"][1], meta_path, meta["fs_hz"][0], "fs_hz")
+    fs_line, fs_text = meta["fs_hz"]
+    fs = _parse_float(fs_text, meta_path, fs_line, "fs_hz")
     if fs <= 0:
-        raise ParseError("fs_hz must be positive", path=meta_path, field="fs_hz")
-    session = _parse_int(meta["session"][1], meta_path, meta["session"][0], "session")
-    group = meta["group"][1]
-    if group not in GROUPS:
-        raise ParseError(
-            f"group must be healthy or patient, got {group!r}",
-            path=meta_path,
-            line=meta["group"][0],
-            field="group",
-        )
-    hand = meta["hand"][1]
-    if hand not in HANDS:
-        raise ParseError(
-            f"hand must be one of {'|'.join(HANDS)}",
-            path=meta_path,
-            line=meta["hand"][0],
-            field="hand",
-        )
-    scenario = meta["scenario"][1]
-    if scenario not in SCENARIOS:
-        raise ParseError(
-            "scenario must be L1 or L2",
-            path=meta_path,
-            line=meta["scenario"][0],
-            field="scenario",
-        )
+        raise ParseError("fs_hz must be positive", meta_path, fs_line, "fs_hz")
+    values = {key: meta[key][1] for key in ("group", "hand", "scenario")}
+    values["session"] = _parse_int(
+        meta["session"][1], meta_path, meta["session"][0], "session"
+    )
+    fault = metadata_fault(**values)
+    if fault is not None:
+        key, message = fault
+        raise ParseError(message, path=meta_path, line=meta[key][0], field=key)
 
     dt = np.diff(times)
     if np.any(dt <= 0):
@@ -384,11 +392,8 @@ def parse_recording(path) -> Recording:
     series = TimeSeries3D(fs=fs, samples=samples, order=ACCELERATION)
     return Recording(
         subject_id=meta["subject_id"][1],
-        group=group,
-        session=session,
-        hand=hand,
-        scenario=scenario,
         series=series,
+        **values,
         annotations=tuple(annotations),
     )
 
@@ -479,26 +484,15 @@ def extract_epochs(rec: Recording, w: int) -> ExtractResult:
     return ExtractResult(tuple(epochs), tuple(used), skipped)
 
 
-def _round_half_up(value):
-    return int(np.floor(value + 0.5))
-
-
 def split_train_test(epochs, cfg: SplitConfig):
     """Disjoint, exhaustive train/test partition, deterministic in the seed.
 
-    Stratified (the default) shuffles within each movement class and
-    takes round(n_class * train_fraction) training epochs per class;
-    rounding is half-up.
+    Always stratified: shuffles within each movement class and takes
+    round(n_class * train_fraction) training epochs per class; rounding
+    is half-up.
     """
     epochs = list(epochs)
     rng = np.random.default_rng(cfg.seed)
-    if not cfg.stratified:
-        order = rng.permutation(len(epochs))
-        cut = _round_half_up(len(epochs) * cfg.train_fraction)
-        train = [epochs[i] for i in order[:cut]]
-        test = [epochs[i] for i in order[cut:]]
-        return train, test
-
     by_class = {label: [] for label in KEY_MOVEMENTS}
     for i, ep in enumerate(epochs):
         if ep.label not in by_class:
@@ -514,7 +508,7 @@ def split_train_test(epochs, cfg: SplitConfig):
     for label in KEY_MOVEMENTS:
         idx = np.asarray(by_class[label])
         order = rng.permutation(len(idx))
-        cut = _round_half_up(len(idx) * cfg.train_fraction)
+        cut = int(np.floor(len(idx) * cfg.train_fraction + 0.5))
         train += [epochs[i] for i in idx[order[:cut]]]
         test += [epochs[i] for i in idx[order[cut:]]]
     return train, test

@@ -35,6 +35,9 @@ def save_checkpoint(path, net: Network, seed: int) -> None:
     if not _is_window(net.input_len):
         raise ContractError(f"network declares no input window: {net.input_len!r}")
     params = net.parameters()
+    for key, value in params.items():
+        if not np.isfinite(value).all():  # load_checkpoint would reject the file
+            raise ContractError(f"non-finite weight in {key!r}")
     header = {
         "seed": int(seed),
         "input_len": net.input_len,
@@ -67,7 +70,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise InvalidDataError(f"{path}: corrupt checkpoint header: {exc}") from None
 
     try:
-        seed = int(header["seed"])
+        seed = header["seed"]
         net = Network([layer_from_spec(spec) for spec in header["layers"]])
         manifest = [
             (str(entry["key"]), tuple(int(d) for d in entry["shape"]))
@@ -77,6 +80,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise InvalidDataError(
             f"{path}: malformed checkpoint header: {exc!r}"
         ) from None
+    if type(seed) is not int:
+        raise InvalidDataError(
+            f"{path}: malformed checkpoint header: seed must be an int, got {seed!r}"
+        )
     net.input_len = header.get("input_len")
     if not _is_window(net.input_len):
         raise InvalidDataError(

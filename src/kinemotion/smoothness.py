@@ -7,9 +7,9 @@ underlying records always carry all three axes.
 Reference-table fixture format (also accepted from user files): CSV
 with header ``movement,statistic,cohort_or_session,value`` where
 statistic is mean|max|min and the third column is either a cohort name
-(healthy|patient) or a session number (1..4).  Each movement in a table
-needs every statistic in every column (both cohorts, or each session
-number the table uses) exactly once.
+(healthy|patient) or a session number (an integer >= 1).  Each movement
+in a table needs every statistic in every column (both cohorts, or each
+session number the table uses) exactly once.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import KEY_MOVEMENTS, read_csv_body
+from .dataset import KEY_MOVEMENTS, _parse_float, _parse_int, read_csv_body
 from .errors import ContractError, DegenerateInputError, ParseError
 from .kinematics import (
     AxisStats,
@@ -180,27 +180,13 @@ def load_table(path) -> ReferenceTable:
             )
         if key in COHORTS:
             kinds.add("cohort")
-        elif key.isdigit():
-            kinds.add("session")
-            key = int(key)
         else:
-            raise ParseError(
-                f"expected a cohort or session number, got {key!r}",
-                path=path,
-                line=line_no,
-                field="cohort_or_session",
-            )
-        try:
-            number = float(value)
-        except ValueError:
-            number = np.nan
-        if not np.isfinite(number):
-            raise ParseError(
-                f"not a finite number: {value!r}",
-                path=path,
-                line=line_no,
-                field="value",
-            )
+            kinds.add("session")
+            where = (path, line_no, "cohort_or_session")
+            key = _parse_int(key, *where)
+            if key < 1:
+                raise ParseError(f"session must be >= 1, got {key}", *where)
+        number = _parse_float(value, path, line_no, "value")
         cells = values.setdefault(movement, {}).setdefault(statistic, {})
         if key in cells:
             raise ParseError(

@@ -389,6 +389,54 @@ class TestConfigFile:
         assert "unknown configuration key" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("epochs=1\nlr=0.001\nepochs=2\n", 3, "duplicate configuration key"),
+            ("lr=0.001\nepochs=abc\n", 2, "not an integer"),
+            ("lr=nan\n", 1, "non-finite value"),
+            ("conv_channels=8,8,x,8\n", 1, "not an integer"),
+            ("class_weights=1 1 inf 1\n", 1, "non-finite value"),
+            ("in_channels=3\n", 1, "unknown configuration key"),
+        ],
+        ids=["repeated", "epochs-abc", "lr-nan", "tuple-item", "tuple-inf",
+             "in-channels"],
+    )
+    def test_bad_config_names_path_and_line(
+        self, synth_dir, tmp_path, capsys, text, line, message
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code = run_cli(
+            "train",
+            "--data", str(synth_dir),
+            "--out", str(tmp_path / "x"),
+            "--config", str(cfg),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and str(cfg) in err and f"line {line}" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-0.001"])
+    def test_unusable_learning_rate_writes_no_checkpoint(
+        self, synth_dir, tmp_path, capsys, lr
+    ):
+        out = tmp_path / "x"
+        code = run_cli(
+            "train",
+            "--data", str(synth_dir),
+            "--out", str(out),
+            "--epochs", "1",
+            "--batch-size", "64",  # one batch per training epoch
+            "--window", "96",
+            "--lr", lr,
+        )
+        assert code == 2
+        assert "lr must be finite and >= 0" in capsys.readouterr().err
+        assert not (out / "model.knm").exists()
+
+
 class TestAssessAndReport:
     def test_assess_session_fixture(self, tmp_path, capsys):
         out = tmp_path / "assess"
@@ -479,6 +527,24 @@ class TestAssessAndReport:
         m1 = [l for l in text.splitlines() if l.startswith("M1")][0]
         assert m1.split(",")[1:3] == ["19.96", "7.65"]
         assert (out / "cohort_squared_jerk.json").exists()
+
+
+    @pytest.mark.parametrize("session", ["\u00b2", "0"])
+    def test_report_rejects_bad_session_without_traceback(
+        self, tmp_path, capsys, session
+    ):
+        table = tmp_path / "sessions.csv"
+        table.write_text(
+            "movement,statistic,cohort_or_session,value\n"
+            f"M1,mean,{session},1.5\n",
+            encoding="utf-8",
+        )
+        code = run_cli("report", "--fixtures", str(table), "--out", str(tmp_path / "r"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "line 2" in err and "cohort_or_session" in err
+        assert not (tmp_path / "r").exists()
 
 
 class TestUsageAndExitCodes:

@@ -1,6 +1,7 @@
 """Recording ingestion, round-trips, splits and augmentation."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from kinemotion.dataset import (
     Recording,
     SplitConfig,
     _read_signal,
+    annotation_value_fault,
     augment_shift,
     extract_epochs,
+    metadata_fault,
     parse_recording,
     shift_epoch,
     split_train_test,
@@ -68,6 +71,60 @@ class TestRecordingModel:
             Annotation(0, 10, "M5")
         with pytest.raises(ContractError):
             Annotation(0, 10, "R20")
+
+
+class TestRulesStatedOnce:
+    """The data model and the file parser reject the same values, with the
+    same message, because both take it from one fault function."""
+
+    @pytest.mark.parametrize(
+        "meta, field",
+        [
+            ({"group": "clinic"}, "group"),
+            ({"hand": "left"}, "hand"),
+            ({"scenario": "L3"}, "scenario"),
+            ({"session": 0}, "session"),
+            ({"group": "patient", "session": 0}, "session"),
+            ({"session": 2}, "session"),  # healthy subjects have session 1 only
+        ],
+    )
+    def test_metadata(self, tmp_path, meta, field):
+        rec = make_recording(n=50)
+        keys = ("group", "session", "hand", "scenario")
+        values = {key: getattr(rec, key) for key in keys}
+        values.update(meta)
+        assert metadata_fault(**values)[0] == field
+        with pytest.raises(ContractError) as model_err:
+            replace(rec, **values)
+        sig = write_fixture(tmp_path, rec)
+        meta_path = tmp_path / "rec.meta"
+        text = meta_path.read_text()
+        for key, value in values.items():
+            text = text.replace(f"{key}={getattr(rec, key)}\n", f"{key}={value}\n")
+        meta_path.write_text(text)
+        with pytest.raises(ParseError) as parse_err:
+            parse_recording(sig)
+        line = {"group": 2, "session": 3, "hand": 4, "scenario": 5}[field]
+        assert parse_err.value.path == meta_path
+        assert parse_err.value.line == line and parse_err.value.field == field
+        assert str(model_err.value) in str(parse_err.value)
+
+    @pytest.mark.parametrize(
+        "row, field",
+        [("4,30,M9", "label"), ("30,4,M1", "start_index"), ("-1,4,M1", "start_index")],
+    )
+    def test_annotation(self, tmp_path, row, field):
+        start, end, label = row.split(",")
+        assert annotation_value_fault(int(start), int(end), label)[0] == field
+        with pytest.raises(ContractError) as model_err:
+            Annotation(int(start), int(end), label)
+        sig = write_fixture(tmp_path, make_recording(n=50))
+        ann = tmp_path / "rec.annotations.csv"
+        ann.write_text(f"start_index,end_index,label\n1,3,R1\n{row}\n")
+        with pytest.raises(ParseError) as parse_err:
+            parse_recording(sig)
+        assert parse_err.value.line == 3 and parse_err.value.field == field
+        assert str(model_err.value) in str(parse_err.value)
 
 
 class TestParseWriteRoundTrip:
@@ -167,6 +224,21 @@ class TestMalformedCorpus:
         with pytest.raises(ParseError) as err:
             parse_recording(sig)
         assert err.value.line == 7
+
+    @pytest.mark.parametrize("fs", ["0", "-50.0"])
+    def test_non_positive_fs_names_meta_line(self, tmp_path, fs):
+        sig, _, meta = self._paths(tmp_path)
+        meta.write_text(meta.read_text().replace("fs_hz=50.0", f"fs_hz={fs}"))
+        with pytest.raises(ParseError, match="fs_hz must be positive") as err:
+            parse_recording(sig)
+        assert err.value.line == 6 and err.value.field == "fs_hz"
+
+    def test_duplicate_metadata_key_rejected(self, tmp_path):
+        sig, _, meta = self._paths(tmp_path)
+        meta.write_text(meta.read_text() + "hand=both\n")
+        with pytest.raises(ParseError, match="duplicate metadata key") as err:
+            parse_recording(sig)
+        assert err.value.line == 7 and err.value.field == "hand"
 
     def test_missing_metadata_key_rejected(self, tmp_path):
         sig, _, meta = self._paths(tmp_path)
@@ -431,13 +503,6 @@ class TestSplit:
         for label in KEY_MOVEMENTS:
             assert sum(e.label == label for e in train) == 32
             assert sum(e.label == label for e in test) == 8
-
-    def test_unstratified_counts(self):
-        epochs = make_epochs(25)  # 100 total
-        train, test = split_train_test(
-            epochs, SplitConfig(seed=1, stratified=False)
-        )
-        assert len(train) == 80 and len(test) == 20
 
     def test_partition_is_disjoint_and_exhaustive(self):
         epochs = make_epochs(11, seed=5)

@@ -502,6 +502,14 @@ class TestCheckpoint:
         with pytest.raises(InvalidDataError, match="twice"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_save_refuses_non_finite_weight(self, tmp_path, value):
+        net = toy_network(24)
+        net.layers[-1].params["b"][1] = value
+        with pytest.raises(ContractError, match="non-finite weight"):
+            save_checkpoint(tmp_path / "model.knm", net, seed=24)
+        assert not (tmp_path / "model.knm").exists()
+
     def test_save_refuses_network_without_window(self, tmp_path):
         net = toy_network(24, input_len=None)
         with pytest.raises(ContractError, match="window"):
@@ -524,7 +532,7 @@ class TestCheckpoint:
         with pytest.raises(InvalidDataError, match="input_len"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("seed", [float("inf"), float("-inf")])
+    @pytest.mark.parametrize("seed", [float("inf"), float("-inf"), 12.7, "12", True])
     def test_rejects_non_finite_seed(self, tmp_path, seed):
         from kinemotion.errors import InvalidDataError
 

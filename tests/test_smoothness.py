@@ -274,6 +274,21 @@ class TestLoadTable:
             load_table(bad)
         assert err.value.line == 3 and err.value.field == "value"
 
+    @pytest.mark.parametrize("session", ["\u00b2", "0", "-1", "one"])
+    def test_session_must_be_an_integer_from_one(self, tmp_path, session):
+        from kinemotion.errors import ParseError
+
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "movement,statistic,cohort_or_session,value\n"
+            f"M1,mean,1,1.5\nM1,mean,{session},2.5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as err:
+            load_table(bad)
+        assert err.value.path == bad
+        assert err.value.line == 3 and err.value.field == "cohort_or_session"
+
 
 def table_without(tmp_path, name, drop):
     """A bundled table written to ``tmp_path`` without the rows ``drop`` matches."""
