@@ -16,10 +16,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import KEY_MOVEMENTS, augment_shift, label_index
 from .errors import ConfigError, ContractError, TrainingDiverged
-from .kinematics import AXES
+from .kinematics import AXES, TimeSeries3D, window_offsets
 from .nn import (
     LSTM,
     Adam,
@@ -223,6 +224,85 @@ def predict_proba(net: Network, epochs) -> np.ndarray:
         probs[start : start + len(chunk)] = softmax(
             net.forward(_stack(chunk), train=False)
         )
+    return probs
+
+
+# Signal samples per front-end pass of predict_windows: about the input of
+# one EVAL_CHUNK of 256-sample windows, so the pass's activations stay at a
+# few MiB however long the recording is.
+FRONT_END_BLOCK = 8192
+
+_SLIDING = (Conv1D, ReLU, MaxPool1D, Dropout)
+
+
+def _front_end(net: Network):
+    """The sliding front end of ``net``: its depth, receptive field and stride.
+
+    The front end is the longest layer prefix of convolutions, ReLUs,
+    max-pools and dropouts (the identity in eval mode).  Feature t of its
+    pass over a signal x depends on ``x[t * stride : t * stride + span]``
+    only, and a pass over L >= span samples yields (L - span) // stride + 1
+    features.
+    """
+    span, stride = 1, 1
+    for depth, layer in enumerate(net.layers):
+        if not isinstance(layer, _SLIDING):
+            return depth, span, stride
+        if isinstance(layer, (Conv1D, MaxPool1D)):
+            span += (layer.kernel - 1) * stride
+            stride *= layer.stride
+    return len(net.layers), span, stride
+
+
+def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarray:
+    """(N, 4) class probabilities of the sliding windows of one recording.
+
+    Row k belongs to the window at ``kinematics.window_offsets(len(series),
+    net.input_len, stride)[k]`` and agrees with ``predict_proba`` on that
+    window up to rounding.  Instead of running the front end once per
+    window, it runs once per stride phase over the whole signal (the fully
+    convolutional sliding window of OverFeat): with S the front end's total
+    stride and p = o % S, the window at offset o reads features
+    ``[(o - p) // S, (o - p) // S + T)`` of the pass over ``samples[p:]``.
+    Only the layers after the front end run per window.
+
+    Memory stays bounded in the recording length: the pass runs in blocks
+    of about FRONT_END_BLOCK samples that overlap by its receptive field,
+    only one phase's features are kept, and windows are gathered and sent
+    through the rest of the network EVAL_CHUNK at a time.
+    """
+    window = net.input_len
+    if window is None:
+        raise ContractError("the network declares no input window")
+    offsets = np.asarray(window_offsets(len(series), window, stride))
+    depth, span, total = _front_end(net)
+    steps = (window - span) // total + 1  # front-end features per window
+    if steps < 1:
+        raise ContractError(
+            f"model window {window} is shorter than the receptive field {span} "
+            "of the convolutional front end"
+        )
+    front, rest = Network(net.layers[:depth]), Network(net.layers[depth:])
+    per_block = max(1, (FRONT_END_BLOCK - span) // total + 1)
+    signal = series.samples.T  # (3, n)
+    probs = np.empty((len(offsets), N_CLASSES))
+    phases = offsets % total
+    for phase in np.unique(phases):
+        rows = np.flatnonzero(phases == phase)
+        starts = (offsets[rows] - phase) // total
+        n_feats = int(starts[-1]) + steps
+        feats = None
+        for first in range(0, n_feats, per_block):
+            count = min(per_block, n_feats - first)
+            lo = phase + first * total
+            out = front.forward(signal[None, :, lo : lo + (count - 1) * total + span])
+            if feats is None:
+                feats = np.empty((out.shape[1], n_feats))
+            feats[:, first : first + count] = out[0]
+        views = sliding_window_view(feats, steps, axis=1)  # (C, n_feats - T + 1, T)
+        for at in range(0, len(rows), EVAL_CHUNK):
+            batch = views[:, starts[at : at + EVAL_CHUNK]].transpose(1, 0, 2)
+            probs[rows[at : at + EVAL_CHUNK]] = softmax(rest.forward(batch))
     return probs
 
 

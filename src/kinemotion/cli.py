@@ -1,6 +1,7 @@
 """Command-line pipeline: synth | train | eval | classify | assess | report.
 
-Exit codes: 0 success, 1 usage error, 2 data/configuration error.
+Exit codes: 0 success, 1 usage error, 2 data/configuration error or a
+file that cannot be read (a missing path, a directory).
 Option precedence: command-line flag > config file > built-in default.
 Config files are UTF-8 ``key=value`` lines (``#`` comments), read by
 the same reader as recording metadata, whose keys are field names of
@@ -25,6 +26,7 @@ from .classifier import (
     build_model,
     evaluate,
     predict_proba,
+    predict_windows,
     train,
 )
 from .dataset import (
@@ -40,7 +42,7 @@ from .dataset import (
     split_train_test,
 )
 from .errors import ConfigError, KinemotionError
-from .kinematics import window as window_series
+from .kinematics import window_offsets
 from .nn import load_checkpoint, save_checkpoint
 from .smoothness import (
     aggregate_by_movement,
@@ -182,11 +184,11 @@ def _cmd_classify(args):
     if args.mode == "segments":
         result = extract_epochs(rec, input_len)
         spans = [(a.start, a.end, a.label) for a in result.annotations]
-        epochs = [labelled.epoch for labelled in result.epochs]
+        probs = predict_proba(ckpt.net, [labelled.epoch for labelled in result.epochs])
     else:
-        epochs = window_series(rec.series, input_len, args.stride)
-        spans = [(ep.offset, ep.offset + input_len, "") for ep in epochs]
-    probs = predict_proba(ckpt.net, epochs)
+        probs = predict_windows(ckpt.net, rec.series, args.stride)
+        offsets = window_offsets(len(rec.series), input_len, args.stride)
+        spans = [(o, o + input_len, "") for o in offsets]
 
     # 10 significant digits keep each row's printed probabilities summing
     # to 1 within 1e-9; six digits left up to 2e-6
@@ -347,10 +349,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except KinemotionError as exc:
+    except (OSError, KinemotionError) as exc:  # an OSError from open() names its path
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -51,11 +51,17 @@ def label_index(label: str) -> int:
         raise ContractError(f"not a key movement label: {label!r}") from None
 
 
+def _label_fault(label):
+    """Why ``label`` is no movement label; None when it is one."""
+    return None if label in ALL_LABELS else f"unknown movement label {label!r}"
+
+
 def annotation_value_fault(start, end, label):
     """The first broken rule of one annotation as ``(field, message)``, naming
     the annotation-file column at fault; None when there is none."""
-    if label not in ALL_LABELS:
-        return "label", f"unknown movement label {label!r}"
+    fault = _label_fault(label)
+    if fault is not None:
+        return "label", fault
     if not (0 <= start < end):
         return "start_index", (
             f"annotation range must satisfy 0 <= start < end, got [{start}, {end})"
@@ -152,8 +158,9 @@ class LabeledEpoch:
     label: str
 
     def __post_init__(self):
-        if self.label not in ALL_LABELS:
-            raise ContractError(f"unknown movement label {self.label!r}")
+        fault = _label_fault(self.label)
+        if fault is not None:
+            raise ContractError(fault)
 
 
 @dataclass(frozen=True)

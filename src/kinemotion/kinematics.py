@@ -199,21 +199,26 @@ def segment_stats(series: TimeSeries3D) -> AxisStats:
     )
 
 
+def window_offsets(n: int, w: int, s: int) -> range:
+    """Start indices of the length-``w`` windows at stride ``s`` over ``n`` samples.
+
+    Window k starts at k*s and ends by ``n``; fewer than ``w`` samples
+    give no window.
+    """
+    if w < 1 or s < 1:
+        raise ContractError(f"window length and stride must be >= 1, got w={w}, s={s}")
+    return range(0, n - w + 1, s)
+
+
 def window(series: TimeSeries3D, w: int, s: int) -> list[Epoch]:
     """Cut the series into fixed-length epochs of length ``w``, stride ``s``.
 
     Epoch k covers samples [k*s, k*s + w); a series shorter than ``w``
     yields an empty list.
     """
-    if w < 1 or s < 1:
-        raise ContractError(f"window length and stride must be >= 1, got w={w}, s={s}")
-    n = len(series)
-    if n < w:
-        return []
-    count = (n - w) // s + 1
     return [
-        Epoch(values=series.samples[k * s : k * s + w], offset=k * s)
-        for k in range(count)
+        Epoch(values=series.samples[o : o + w], offset=o)
+        for o in window_offsets(len(series), w, s)
     ]
 
 

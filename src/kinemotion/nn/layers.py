@@ -357,6 +357,15 @@ class Dense(Layer):
         return {"kind": "dense", "in": self.in_features, "out": self.out_features}
 
 
+class _Unset:
+    """Generator stand-in for layers whose weights are loaded next: it
+    allocates each parameter as zeros and draws nothing."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+
 _LAYER_KINDS = {
     "conv1d": lambda s, rng: Conv1D(
         s["in_channels"], s["out_channels"], s["kernel"], s["stride"], rng=rng
@@ -369,13 +378,17 @@ _LAYER_KINDS = {
 }
 
 
-def layer_from_spec(spec: dict, rng=None) -> Layer:
-    """Rebuild a layer from its ``spec()`` dict (checkpoint loading)."""
+def layer_from_spec(spec: dict) -> Layer:
+    """Rebuild a layer from its ``spec()`` dict (checkpoint loading).
+
+    Parameters are allocated at their shapes as zeros, not initialised:
+    the caller sets every one of them.
+    """
     try:
         factory = _LAYER_KINDS[spec["kind"]]
     except KeyError:
         raise ContractError(f"unknown layer kind {spec.get('kind')!r}") from None
-    return factory(spec, rng)
+    return factory(spec, _Unset)
 
 
 class Network:

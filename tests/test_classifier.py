@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kinemotion import classifier
 from kinemotion.classifier import (
     EvalResult,
     ModelConfig,
@@ -12,11 +15,13 @@ from kinemotion.classifier import (
     feature_length,
     min_input_length,
     predict,
+    predict_proba,
+    predict_windows,
     train,
 )
 from kinemotion.dataset import KEY_MOVEMENTS, LabeledEpoch
 from kinemotion.errors import ConfigError
-from kinemotion.kinematics import Epoch
+from kinemotion.kinematics import Epoch, TimeSeries3D, window
 from kinemotion.nn import Conv1D, Dropout, MaxPool1D
 
 
@@ -164,6 +169,77 @@ class TestPredictEvaluate:
         for item in test_set:
             constant[label_index(item.label), 0] += 1
         assert np.trace(constant) / len(test_set) == 0.25
+
+
+def random_series(rows, seed=0):
+    rng = np.random.default_rng(seed)
+    return TimeSeries3D(fs=50.0, samples=rng.normal(size=(rows, 3)))
+
+
+def assert_rows_agree(got, want):
+    """Every probability within 5e-7 and every argmax label equal."""
+    assert got.shape == want.shape
+    if len(want):
+        assert np.max(np.abs(got - want)) <= 5e-7
+        np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+
+# front ends with a total stride S of 16 (default), 4 (toy) and 12 (odd:
+# conv 1 stride 2, pools 3 and 2), so the phase arithmetic also runs for an
+# S other than 16 and for one that is not a power of two
+STACKS = {
+    "default": ModelConfig,
+    "toy": ModelConfig.toy,
+    "odd": lambda input_len: ModelConfig(
+        input_len=input_len,
+        conv_channels=(8, 8, 8, 8),
+        conv_strides=(1, 2, 1, 1),
+        pool_kernels=(3, 2),
+        pool_strides=(3, 2),
+        lstm_hidden=8,
+    ),
+}
+
+
+class TestPredictWindows:
+    """predict_windows against per-window predict_proba, the reference path."""
+
+    @pytest.mark.parametrize("stack", list(STACKS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_per_window_predict_proba(self, stack, data):
+        make = STACKS[stack]
+        w = data.draw(st.integers(min_input_length(make(input_len=300)), 300),
+                      label="window")
+        stride = data.draw(st.integers(1, 40) | st.integers(w + 1, w + 40),
+                           label="stride")
+        rows = data.draw(st.integers(max(1, w - 8), w + 400), label="rows")
+        net = build_model(make(input_len=w), seed=w)
+        series = random_series(rows, seed=rows)
+        assert_rows_agree(
+            predict_windows(net, series, stride),
+            predict_proba(net, window(series, w, stride)),
+        )
+
+    def test_blocks_match_one_unblocked_pass(self, monkeypatch):
+        net = build_model(ModelConfig(input_len=256), seed=21)
+        # three and a bit front-end blocks per phase, two phases at stride 24
+        series = random_series(3 * classifier.FRONT_END_BLOCK + 1234, seed=21)
+        blocked = predict_windows(net, series, 24)
+        monkeypatch.setattr(classifier, "FRONT_END_BLOCK", 10 * len(series))
+        whole = predict_windows(net, series, 24)
+        assert len(whole) == (len(series) - 256) // 24 + 1
+        np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(blocked.argmax(axis=1), whole.argmax(axis=1))
+
+    def test_window_shorter_than_the_receptive_field_is_rejected(self):
+        from kinemotion.errors import ContractError
+
+        # a checkpoint's header may declare a window its layers cannot take
+        net = build_model(ModelConfig(), seed=24)
+        net.input_len = min_input_length(ModelConfig()) - 1
+        with pytest.raises(ContractError, match="receptive field 94"):
+            predict_windows(net, random_series(500), 8)
 
 
 class TestTrain:

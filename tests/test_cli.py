@@ -201,6 +201,42 @@ def assert_rows_match_predict(rows, net, epochs):
 class TestClassifyChunks:
     """classify runs the network over fixed-size chunks of epochs."""
 
+    def test_windows_of_a_short_recording_write_only_the_header(
+        self, trained_dir, tmp_path
+    ):
+        random_recording(tmp_path / "short.csv", rows=95)  # the window is 96
+        out = tmp_path / "windows.csv"
+        assert run_cli(
+            "classify",
+            "--recording", str(tmp_path / "short.csv"),
+            "--checkpoint", str(trained_dir / "model.knm"),
+            "--mode", "windows",
+            "--stride", "1",
+            "--out", str(out),
+        ) == 0
+        assert out.read_text() == (
+            "start_index,end_index,true_label,predicted,p_M1,p_M2,p_M3,p_M4\n"
+        )
+
+    def test_zero_stride_is_the_window_error(self, trained_dir, tmp_path, capsys):
+        from kinemotion.errors import ContractError
+        from kinemotion.kinematics import window
+
+        rec = random_recording(tmp_path / "rec.csv", rows=300)
+        with pytest.raises(ContractError) as reference:
+            window(rec.series, 96, 0)
+        code = run_cli(
+            "classify",
+            "--recording", str(tmp_path / "rec.csv"),
+            "--checkpoint", str(trained_dir / "model.knm"),
+            "--mode", "windows",
+            "--stride", "0",
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {reference.value}\n"
+        assert captured.out == ""
+
     def test_windows_across_chunk_boundaries_match_predict(self, trained_dir, tmp_path):
         from kinemotion.classifier import EVAL_CHUNK
         from kinemotion.kinematics import window
@@ -418,6 +454,21 @@ class TestConfigFile:
         assert message in err and str(cfg) in err and f"line {line}" in err
         assert not (tmp_path / "x").exists()
 
+    def test_directory_as_config_is_a_data_error(self, synth_dir, tmp_path, capsys):
+        folder = tmp_path / "cfg_dir"
+        folder.mkdir()
+        code = run_cli(
+            "train",
+            "--data", str(synth_dir),
+            "--out", str(tmp_path / "x"),
+            "--config", str(folder),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and str(folder) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("lr", ["nan", "inf", "-0.001"])
     def test_unusable_learning_rate_writes_no_checkpoint(
         self, synth_dir, tmp_path, capsys, lr
@@ -528,6 +579,16 @@ class TestAssessAndReport:
         assert m1.split(",")[1:3] == ["19.96", "7.65"]
         assert (out / "cohort_squared_jerk.json").exists()
 
+
+    def test_report_on_a_directory_is_a_data_error(self, tmp_path, capsys):
+        folder = tmp_path / "tables"
+        folder.mkdir()
+        code = run_cli("report", "--fixtures", str(folder), "--out", str(tmp_path / "r"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and str(folder) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("session", ["\u00b2", "0"])
     def test_report_rejects_bad_session_without_traceback(
