@@ -228,9 +228,9 @@ def predict_proba(net: Network, epochs) -> np.ndarray:
 
 
 # Signal samples per front-end pass of predict_windows: about the input of
-# one EVAL_CHUNK of 256-sample windows, so the pass's activations stay at a
-# few MiB however long the recording is.
-FRONT_END_BLOCK = 8192
+# 16 windows of 256 samples, so the pass's activations stay at a few MiB
+# however long the recording is.
+FRONT_END_BLOCK = 4096
 
 _SLIDING = (Conv1D, ReLU, MaxPool1D, Dropout)
 
@@ -254,27 +254,49 @@ def _front_end(net: Network):
     return len(net.layers), span, stride
 
 
+def _conv_macs(layers, length: int) -> int:
+    """Multiply-adds of the convolutions in ``layers`` on ``length`` input samples."""
+    macs = 0
+    for layer in layers:
+        if isinstance(layer, (Conv1D, MaxPool1D)):
+            length = layer.out_length(length)
+        if isinstance(layer, Conv1D):
+            macs += layer.in_channels * layer.out_channels * layer.kernel * length
+    return macs
+
+
 def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarray:
     """(N, 4) class probabilities of the sliding windows of one recording.
 
     Row k belongs to the window at ``kinematics.window_offsets(len(series),
     net.input_len, stride)[k]`` and agrees with ``predict_proba`` on that
     window up to rounding.  Instead of running the front end once per
-    window, it runs once per stride phase over the whole signal (the fully
-    convolutional sliding window of OverFeat): with S the front end's total
-    stride and p = o % S, the window at offset o reads features
-    ``[(o - p) // S, (o - p) // S + T)`` of the pass over ``samples[p:]``.
-    Only the layers after the front end run per window.
+    window, it runs once per stride phase over the stretch of the signal
+    that phase's windows cover (the fully convolutional sliding window of
+    OverFeat): with S the front end's total stride and p = o % S, the
+    window at offset o reads features ``[(o - p) // S, (o - p) // S + T)``
+    of the pass over ``samples[p:]``.  Only the layers after the front end
+    run per window.
 
-    Memory stays bounded in the recording length: the pass runs in blocks
-    of about FRONT_END_BLOCK samples that overlap by its receptive field,
-    only one phase's features are kept, and windows are gathered and sent
-    through the rest of the network EVAL_CHUNK at a time.
+    That pays only while windows overlap enough: consecutive windows of a
+    phase start g * S samples apart, g = stride / gcd(stride, S), so each
+    window adds g * S samples to its phase's pass.  The choice is made by
+    counting the multiply-adds of the front end's convolutions over the
+    phase passes and over every window on its own; unless the passes need
+    at most four fifths of the latter, each window runs through the whole
+    network, as in ``predict_proba``.  For the default stack (S = 16) on a
+    long recording the passes serve g <= 3 at W = 128 (so not the default
+    stride 64, g = 4) and g <= 9 at W = 256.
+
+    Memory stays bounded in the recording length: a phase pass runs in
+    blocks of about FRONT_END_BLOCK samples that overlap by the receptive
+    field, only one phase's features are kept, and windows are gathered
+    and sent through the rest of the network EVAL_CHUNK at a time.
     """
     window = net.input_len
     if window is None:
         raise ContractError("the network declares no input window")
-    offsets = np.asarray(window_offsets(len(series), window, stride))
+    offsets = np.array(window_offsets(len(series), window, stride), dtype=np.int64)
     depth, span, total = _front_end(net)
     steps = (window - span) // total + 1  # front-end features per window
     if steps < 1:
@@ -283,16 +305,28 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
             "of the convolutional front end"
         )
     front, rest = Network(net.layers[:depth]), Network(net.layers[depth:])
-    per_block = max(1, (FRONT_END_BLOCK - span) // total + 1)
     signal = series.samples.T  # (3, n)
     probs = np.empty((len(offsets), N_CLASSES))
     phases = offsets % total
-    for phase in np.unique(phases):
-        rows = np.flatnonzero(phases == phase)
+    groups = [np.flatnonzero(phases == p) for p in np.flatnonzero(np.bincount(phases))]
+    reach = (steps - 1) * total + span  # samples one window's features depend on
+    passes = [offsets[rows[-1]] - offsets[rows[0]] + reach for rows in groups]
+    shared = sum(_conv_macs(front.layers, n) for n in passes)
+    # the passes must save a fifth: a margin for what the count leaves out
+    # (block overlaps, the feature gather, one LSTM batch per phase)
+    if 5 * shared > 4 * len(offsets) * _conv_macs(front.layers, window):
+        windows = sliding_window_view(signal, window, axis=1)  # (3, n - W + 1, W)
+        for at in range(0, len(offsets), EVAL_CHUNK):
+            batch = windows[:, offsets[at : at + EVAL_CHUNK]].transpose(1, 0, 2)
+            probs[at : at + EVAL_CHUNK] = softmax(net.forward(batch))
+        return probs
+    per_block = max(1, (FRONT_END_BLOCK - span) // total + 1)
+    for rows in groups:
+        phase = offsets[rows[0]] % total
         starts = (offsets[rows] - phase) // total
         n_feats = int(starts[-1]) + steps
         feats = None
-        for first in range(0, n_feats, per_block):
+        for first in range(int(starts[0]), n_feats, per_block):
             count = min(per_block, n_feats - first)
             lo = phase + first * total
             out = front.forward(signal[None, :, lo : lo + (count - 1) * total + span])

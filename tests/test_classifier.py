@@ -221,6 +221,27 @@ class TestPredictWindows:
             predict_proba(net, window(series, w, stride)),
         )
 
+    @pytest.mark.parametrize("w", [128, 256])
+    @pytest.mark.parametrize("stride", [1, 7, 8, 15, 16, 17, 25, 33, 64, 999])
+    def test_front_end_sees_at_most_one_pass_per_window(self, w, stride, monkeypatch):
+        # phase passes pay only while windows overlap; with little overlap
+        # (an odd stride of 17 at S = 16 gives 16 phases) or none (999) they
+        # would compute more samples than running each window on its own
+        net = build_model(ModelConfig(input_len=w), seed=w)
+        series = random_series(20 * max(stride, 50) + 345, seed=stride)
+        first, seen = net.layers[0], []
+        forward = first.forward
+
+        def counting(x, **kwargs):
+            seen.append(x.shape[0] * x.shape[2])
+            return forward(x, **kwargs)
+
+        monkeypatch.setattr(first, "forward", counting)
+        got = predict_windows(net, series, stride)
+        monkeypatch.undo()
+        assert_rows_agree(got, predict_proba(net, window(series, w, stride)))
+        assert sum(seen) <= len(got) * w
+
     def test_blocks_match_one_unblocked_pass(self, monkeypatch):
         net = build_model(ModelConfig(input_len=256), seed=21)
         # three and a bit front-end blocks per phase, two phases at stride 24
