@@ -158,8 +158,8 @@ class TrainConfig:
             raise ConfigError(f"class_weights must have {N_CLASSES} entries")
         if min(self.class_weights) <= 0:
             raise ConfigError("class_weights must be positive")
-        if not 0 <= self.lr < math.inf:  # also false for NaN
-            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:  # also false for NaN
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
 
 
 @dataclass
@@ -275,8 +275,11 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
     that phase's windows cover (the fully convolutional sliding window of
     OverFeat): with S the front end's total stride and p = o % S, the
     window at offset o reads features ``[(o - p) // S, (o - p) // S + T)``
-    of the pass over ``samples[p:]``.  Only the layers after the front end
-    run per window.
+    of the pass over ``samples[p:]``.  The LSTM's input projection
+    ``x_t @ wx + b`` reads one feature only, so it too runs once per
+    phase, over all of that phase's features; per window only the LSTM
+    recurrence, on the window's T gathered projections, and the layers
+    after the LSTM run.
 
     That pays only while windows overlap enough: consecutive windows of a
     phase start g * S samples apart, g = stride / gcd(stride, S), so each
@@ -286,12 +289,14 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
     at most four fifths of the latter, each window runs through the whole
     network, as in ``predict_proba``.  For the default stack (S = 16) on a
     long recording the passes serve g <= 3 at W = 128 (so not the default
-    stride 64, g = 4) and g <= 9 at W = 256.
+    stride 64, g = 4) and g <= 9 at W = 256.  A network whose first layer
+    after the front end is not an LSTM always runs whole windows.
 
-    Memory stays bounded in the recording length: a phase pass runs in
-    blocks of about FRONT_END_BLOCK samples that overlap by the receptive
-    field, only one phase's features are kept, and windows are gathered
-    and sent through the rest of the network EVAL_CHUNK at a time.
+    Memory grows with the recording only through one phase's projections
+    (4H values per S samples): a phase pass runs in blocks of about
+    FRONT_END_BLOCK samples that overlap by the receptive field and is
+    projected block by block, only one phase's projections are kept, and
+    windows go through the recurrence EVAL_CHUNK at a time.
     """
     window = net.input_len
     if window is None:
@@ -304,7 +309,8 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
             f"model window {window} is shorter than the receptive field {span} "
             "of the convolutional front end"
         )
-    front, rest = Network(net.layers[:depth]), Network(net.layers[depth:])
+    front = Network(net.layers[:depth])
+    lstm = net.layers[depth] if depth < len(net.layers) else None
     signal = series.samples.T  # (3, n)
     probs = np.empty((len(offsets), N_CLASSES))
     phases = offsets % total
@@ -313,30 +319,39 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
     passes = [offsets[rows[-1]] - offsets[rows[0]] + reach for rows in groups]
     shared = sum(_conv_macs(front.layers, n) for n in passes)
     # the passes must save a fifth: a margin for what the count leaves out
-    # (block overlaps, the feature gather, one LSTM batch per phase)
-    if 5 * shared > 4 * len(offsets) * _conv_macs(front.layers, window):
+    # (block overlaps, the projection gather, one recurrence per chunk)
+    if not isinstance(lstm, LSTM) or (
+        5 * shared > 4 * len(offsets) * _conv_macs(front.layers, window)
+    ):
         windows = sliding_window_view(signal, window, axis=1)  # (3, n - W + 1, W)
         for at in range(0, len(offsets), EVAL_CHUNK):
             batch = windows[:, offsets[at : at + EVAL_CHUNK]].transpose(1, 0, 2)
             probs[at : at + EVAL_CHUNK] = softmax(net.forward(batch))
         return probs
+    head = Network(net.layers[depth + 1 :])
     per_block = max(1, (FRONT_END_BLOCK - span) // total + 1)
+    time = np.arange(steps)[:, None]
     for rows in groups:
         phase = offsets[rows[0]] % total
         starts = (offsets[rows] - phase) // total
         n_feats = int(starts[-1]) + steps
-        feats = None
+        xw = None  # xw[s]: the LSTM input projection of feature s, (n_feats, 4H)
         for first in range(int(starts[0]), n_feats, per_block):
             count = min(per_block, n_feats - first)
             lo = phase + first * total
             out = front.forward(signal[None, :, lo : lo + (count - 1) * total + span])
-            if feats is None:
-                feats = np.empty((out.shape[1], n_feats))
-            feats[:, first : first + count] = out[0]
-        views = sliding_window_view(feats, steps, axis=1)  # (C, n_feats - T + 1, T)
+            if xw is None:
+                if out.shape[1] != lstm.input_size:
+                    raise ContractError(
+                        f"{lstm!r}: the front end yields {out.shape[1]} features"
+                    )
+                xw = np.empty((n_feats, 4 * lstm.hidden_size))
+            xw[first : first + count] = out[0].T @ lstm.params["wx"] + lstm.params["b"]
         for at in range(0, len(rows), EVAL_CHUNK):
-            batch = views[:, starts[at : at + EVAL_CHUNK]].transpose(1, 0, 2)
-            probs[rows[at : at + EVAL_CHUNK]] = softmax(rest.forward(batch))
+            gates = xw[time + starts[at : at + EVAL_CHUNK]]  # (T, B, 4H)
+            probs[rows[at : at + EVAL_CHUNK]] = softmax(
+                head.forward(lstm.recurrence(gates))
+            )
     return probs
 
 

@@ -16,8 +16,6 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .classifier import (
     ModelConfig,
@@ -193,8 +191,8 @@ def _cmd_classify(args):
     # 10 significant digits keep each row's printed probabilities summing
     # to 1 within 1e-9; six digits left up to 2e-6
     lines = ["start_index,end_index,true_label,predicted,p_M1,p_M2,p_M3,p_M4"]
-    for (start, end, truth), row in zip(spans, probs):
-        label = KEY_MOVEMENTS[int(np.argmax(row))]
+    labels = [KEY_MOVEMENTS[k] for k in probs.argmax(axis=1)]
+    for (start, end, truth), label, row in zip(spans, labels, probs.tolist()):
         lines.append(
             f"{start},{end},{truth},{label}," + ",".join(f"{p:.10g}" for p in row)
         )

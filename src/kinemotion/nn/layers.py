@@ -88,9 +88,11 @@ class Conv1D(Layer):
             raise ContractError(
                 f"{self!r}: input length {length} shorter than kernel {self.kernel}"
             )
-        # cols[b, c*K + j, t] = x[b, c, t*stride + j]
-        idx = np.arange(self.kernel)[:, None] + self.stride * np.arange(l_out)[None, :]
-        cols = x[:, :, idx].reshape(x.shape[0], -1, l_out)
+        # cols[b, c*K + j, t] = x[b, c, t*stride + j], one strided copy per tap
+        cols = np.empty((x.shape[0], self.in_channels, self.kernel, l_out))
+        for j in range(self.kernel):
+            cols[:, :, j, :] = x[:, :, j : j + l_out * self.stride : self.stride]
+        cols = cols.reshape(x.shape[0], -1, l_out)
         w = self.params["w"].reshape(self.out_channels, -1)
         self._cache = (cols, x.shape)
         out = w @ cols
@@ -228,10 +230,15 @@ class LSTM(Layer):
 
     Processes timesteps left to right from zero initial state and
     returns the final hidden state (B, hidden); gate pre-activations
-    are packed [input, forget, candidate, output].  The input
-    projection of every timestep is one matrix product; only the
-    recurrent (B, 4H) product runs per step.  Initial weights are
-    uniform +-1/sqrt(fan_in) and the forget-gate bias starts at 1.
+    are packed [input, forget, candidate, output].  ``forward`` is the
+    input projection ``x_t @ wx + b`` of every timestep as one matrix
+    product, followed by :meth:`recurrence`, where only the recurrent
+    (B, 4H) product runs per step.  The projection of a timestep reads
+    that timestep only, so a caller holding the projections of a
+    feature sequence can run :meth:`recurrence` on gathered rows of
+    them directly (``classifier.predict_windows`` does).  Initial
+    weights are uniform +-1/sqrt(fan_in) and the forget-gate bias
+    starts at 1.
     """
 
     def __init__(self, input_size, hidden_size, rng=None):
@@ -261,28 +268,40 @@ class LSTM(Layer):
         if x.shape[2] == 0:
             raise ContractError(f"{self!r}: empty input sequence")
         batch, _, n_steps = x.shape
-        hs = self.hidden_size
-        wh = self.params["wh"]
         # time-major inputs: xs[t] is the (B, in) slice of timestep t
         xs = np.ascontiguousarray(x.transpose(2, 0, 1)).reshape(n_steps * batch, -1)
-        xw = (xs @ self.params["wx"] + self.params["b"]).reshape(n_steps, batch, 4 * hs)
-        acts = np.empty((n_steps, batch, 4 * hs))  # i, f, g, o after nonlinearity
-        h_prev = np.empty((n_steps, batch, hs))  # state entering each step
-        c_prev = np.empty((n_steps, batch, hs))
-        tanh_c = np.empty((n_steps, batch, hs))
+        xw = xs @ self.params["wx"] + self.params["b"]
+        h = self.recurrence(xw.reshape(n_steps, batch, -1), train=train)
+        if train:
+            self._cache = (xs, *self._cache)
+        return h
+
+    def recurrence(self, xw, train=False):
+        """Final hidden state (B, H) from projected inputs xw (T, B, 4H).
+
+        ``xw[t]`` is ``x_t @ wx + b`` for timestep t.  A train-mode call
+        keeps the per-step activations and states that ``backward``
+        needs; an eval-mode call keeps none.
+        """
+        n_steps, batch, _ = xw.shape
+        hs = self.hidden_size
+        wh = self.params["wh"]
         h = np.zeros((batch, hs))
         c = np.zeros((batch, hs))
+        if train:  # per step: the state entering it, and what it computed
+            h_prev, c_prev, tanh_cs = np.empty((3, n_steps, batch, hs))
+            acts = np.empty((n_steps, batch, 4 * hs))
         for t in range(n_steps):
-            h_prev[t], c_prev[t] = h, c
             gates = xw[t] + h @ wh
-            act = acts[t]
-            act[:] = _sigmoid(gates)
+            act = _sigmoid(gates)  # i, f, g, o after nonlinearity
             act[:, 2 * hs : 3 * hs] = np.tanh(gates[:, 2 * hs : 3 * hs])
             i, f, g, o = (act[:, k * hs : (k + 1) * hs] for k in range(4))
-            c = f * c + i * g
-            tanh_c[t] = np.tanh(c)
-            h = o * tanh_c[t]
-        self._cache = (xs, acts, h_prev, c_prev, tanh_c)
+            c_next = f * c + i * g
+            tanh_c = np.tanh(c_next)
+            if train:
+                acts[t], h_prev[t], c_prev[t], tanh_cs[t] = act, h, c, tanh_c
+            h, c = o * tanh_c, c_next
+        self._cache = (acts, h_prev, c_prev, tanh_cs) if train else None
         return h
 
     def backward(self, dout):

@@ -19,10 +19,19 @@ from kinemotion.classifier import (
     predict_windows,
     train,
 )
-from kinemotion.dataset import KEY_MOVEMENTS, LabeledEpoch
+from kinemotion.dataset import KEY_MOVEMENTS, LabeledEpoch, label_index
 from kinemotion.errors import ConfigError
 from kinemotion.kinematics import Epoch, TimeSeries3D, window
-from kinemotion.nn import Conv1D, Dropout, MaxPool1D
+from kinemotion.nn import (
+    LSTM,
+    Conv1D,
+    Dense,
+    Dropout,
+    MaxPool1D,
+    Network,
+    ReLU,
+    softmax_cross_entropy,
+)
 
 
 def make_set(n_per_class, w, seed=0):
@@ -253,6 +262,38 @@ class TestPredictWindows:
         np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(blocked.argmax(axis=1), whole.argmax(axis=1))
 
+    def test_stack_without_lstm_after_the_front_end_runs_whole_windows(self):
+        # conv, relu, pool, then a dense head: stride 1 would take the phase
+        # passes for an LSTM stack, but the projection needs an LSTM
+        rng = np.random.default_rng(25)
+        net = Network(
+            [Conv1D(3, 4, 5, rng=rng), ReLU(), MaxPool1D(2, 2), Dense(56, 4, rng=rng)],
+            input_len=32,
+        )
+        series = random_series(300, seed=25)
+        calls = []
+        forward = net.forward
+
+        def counting(x, **kwargs):
+            calls.append(len(x))
+            return forward(x, **kwargs)
+
+        net.forward = counting
+        got = predict_windows(net, series, 1)
+        del net.forward
+        assert sum(calls) == len(got) == 300 - 32 + 1
+        assert_rows_agree(got, predict_proba(net, window(series, 32, 1)))
+
+    @pytest.mark.parametrize("stride", [8, 999])  # phase passes, whole windows
+    def test_lstm_narrower_than_the_front_end_is_rejected(self, stride):
+        from kinemotion.errors import ContractError
+
+        # a checkpoint's layers need not fit together
+        net = build_model(ModelConfig(input_len=128), seed=26)
+        net.layers[12] = LSTM(32, 64)
+        with pytest.raises(ContractError, match="LSTM"):
+            predict_windows(net, random_series(2000), stride)
+
     def test_window_shorter_than_the_receptive_field_is_rejected(self):
         from kinemotion.errors import ContractError
 
@@ -264,15 +305,20 @@ class TestPredictWindows:
 
 
 class TestTrain:
-    def test_zero_lr_leaves_parameters_and_loss_near_log4(self):
+    def test_forward_backward_leave_parameters_and_initial_loss_near_log4(self):
+        # only the optimiser step moves weights; an untrained net is near uniform
         net = build_model(ModelConfig.toy(), seed=8)
         before = {k: v.copy() for k, v in net.parameters().items()}
-        cfg = TrainConfig(epochs=1, batch_size=8, lr=0.0, seed=8)
-        log = train(net, make_set(4, w=64, seed=8), make_set(1, w=64, seed=9), cfg)
+        train_set = make_set(4, w=64, seed=8)
+        x = np.stack([item.epoch.values for item in train_set]).transpose(0, 2, 1)
+        targets = np.array([label_index(item.label) for item in train_set])
+        scores = net.forward(x, train=True, rng=np.random.default_rng(8))
+        loss, dscores = softmax_cross_entropy(scores, targets, np.ones(4))
+        net.backward(dscores)
         after = net.parameters()
         for key in before:
             np.testing.assert_array_equal(before[key], after[key])
-        assert log.train_loss[0] == pytest.approx(np.log(4.0), rel=0.05)
+        assert loss == pytest.approx(np.log(4.0), rel=0.05)
 
     def test_training_is_bit_reproducible(self):
         train_set = make_set(4, w=64, seed=10)

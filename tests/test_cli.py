@@ -469,7 +469,7 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("lr", ["nan", "inf", "-0.001"])
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-0.001", "0"])
     def test_unusable_learning_rate_writes_no_checkpoint(
         self, synth_dir, tmp_path, capsys, lr
     ):
@@ -484,7 +484,7 @@ class TestConfigFile:
             "--lr", lr,
         )
         assert code == 2
-        assert "lr must be finite and >= 0" in capsys.readouterr().err
+        assert "lr must be finite and > 0" in capsys.readouterr().err
         assert not (out / "model.knm").exists()
 
 

@@ -137,6 +137,25 @@ class TestLSTM:
         with pytest.raises(ContractError):
             lstm.forward(np.zeros((1, 3, 0)))
 
+    def test_eval_forward_matches_train_forward_and_keeps_no_cache(self):
+        lstm = LSTM(5, 6, rng=np.random.default_rng(9))
+        x = np.random.default_rng(10).normal(size=(4, 5, 7))
+        trained = lstm.forward(x, train=True)
+        assert lstm._cache is not None
+        evaluated = lstm.forward(x)
+        assert lstm._cache is None
+        np.testing.assert_array_equal(evaluated, trained)
+
+    def test_recurrence_on_gathered_projections_matches_forward(self):
+        # project a feature sequence once, then run windows of it by gathering
+        lstm = LSTM(5, 6, rng=np.random.default_rng(11))
+        feats = np.random.default_rng(12).normal(size=(5, 40))
+        xw = feats.T @ lstm.params["wx"] + lstm.params["b"]
+        starts, steps = np.array([0, 3, 17, 33]), 7
+        gathered = lstm.recurrence(xw[np.arange(steps)[:, None] + starts])
+        windows = np.stack([feats[:, s : s + steps] for s in starts])
+        np.testing.assert_allclose(gathered, lstm.forward(windows), rtol=0, atol=1e-15)
+
 
 class TestDense:
     def test_hand_computed_gradients(self):
