@@ -10,6 +10,15 @@ A recording on disk is three sibling files sharing a stem:
   (healthy|patient), session, hand (dominant|nondominant|both),
   scenario (L1|L2), fs_hz.
 
+Signal files are read in one of two ways, with one result.  A plain file
+-- the header line ``t,ax,ay,az``, then only digits, ``+ - . e E``,
+commas and ``\n`` or ``\r\n`` line ends, as :func:`write_recording`
+writes it -- is converted in one C-level pass by ``np.loadtxt``.  Every
+other file, and a plain file that pass refuses (a blank line, a short
+row, a non-finite value, ...), is split by ``csv.reader`` and converted
+with ``float``: it keeps the exact ``csv`` semantics of quoting,
+whitespace and error line and field.
+
 The train/test split is always stratified by movement class.
 """
 
@@ -267,7 +276,64 @@ def _raise_first_row_error(path, body):
     raise AssertionError(f"{path}: bulk conversion failed but every row parses")
 
 
-def _read_signal(path):
+# Over this alphabet ``np.loadtxt`` and ``float`` both end in
+# ``PyOS_string_to_double`` and agree value for value.  Outside it they do
+# not: ``float`` takes ``1_0`` and non-ASCII digits, ``np.loadtxt`` strips
+# ``\x1c``-``\x1f`` around a field.  A byte added here needs the property
+# test in tests/test_dataset.py to draw it.
+_PLAIN_BYTES = b"0123456789+-.eE,\r\n"
+
+
+def _read_plain_signal(path):
+    """The (n, 4) values of a plain signal file, read in one C-level pass.
+
+    None for any file that is not plain (see the module docstring), has a
+    blank line or a line over the csv field size limit, fewer than two
+    rows, a row that is not four numbers or a non-finite value: the csv
+    path then decides, so this path accepts only what it accepts and
+    gives bit-identical values.
+    """
+    raw = Path(path).read_bytes()
+    header = ",".join(_SIGNAL_HEADER).encode()
+    if not raw.startswith((header + b"\n", header + b"\r\n")):
+        return None
+    # past the header's own letters, nothing may be left
+    if raw.translate(None, _PLAIN_BYTES) != header.translate(None, _PLAIN_BYTES):
+        return None
+    # a lone \r ends a csv record
+    if b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"):
+        return None
+    limit = csv.field_size_limit()
+    if len(raw) > limit:  # only then can a line, and so a field, exceed it
+        ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+        if np.diff(ends, prepend=-1, append=len(raw)).max() > limit:
+            return None
+    # csv reads a blank line as a record of 0 columns, an error; loadtxt skips
+    # it, so the array comes out short of n_rows.  A blank first body line is
+    # refused here: with every body line blank, loadtxt warns "input
+    # contained no data".
+    n_rows = raw.count(b"\n") - 1 + (not raw.endswith(b"\n"))
+    body_start = raw.index(b"\n") + 1
+    if n_rows < 2 or raw[body_start : body_start + 1] in (b"\n", b"\r"):
+        return None
+    try:
+        values = np.loadtxt(
+            io.BytesIO(raw),
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            ndmin=2,
+            skiprows=1,
+        )
+    except ValueError:
+        return None
+    if values.shape != (n_rows, 4) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _read_csv_signal(path):
+    """The (n, 4) values of any signal file, read with ``csv.reader``."""
     body = read_csv_body(path, _SIGNAL_HEADER, "signal")
     # One width check, one conversion of every value with ``float`` and one
     # finiteness check; only when one fails does the row walk find the error.
@@ -283,7 +349,13 @@ def _read_signal(path):
         _raise_first_row_error(path, body)
     if len(body) < 2:
         raise ParseError("signal needs at least 2 rows", path=path, line=2)
-    values = values.reshape(-1, 4)
+    return values.reshape(-1, 4)
+
+
+def _read_signal(path):
+    values = _read_plain_signal(path)
+    if values is None:
+        values = _read_csv_signal(path)
     return np.ascontiguousarray(values[:, 0]), np.ascontiguousarray(values[:, 1:])
 
 

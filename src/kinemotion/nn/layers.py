@@ -27,10 +27,6 @@ def _he_uniform(rng, shape, fan_in):
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(z / 2.0))
-
-
 class Layer:
     """Common surface: params/grads dicts, forward/backward, spec dict."""
 
@@ -293,8 +289,13 @@ class LSTM(Layer):
             acts = np.empty((n_steps, batch, 4 * hs))
         for t in range(n_steps):
             gates = xw[t] + h @ wh
-            act = _sigmoid(gates)  # i, f, g, o after nonlinearity
-            act[:, 2 * hs : 3 * hs] = np.tanh(gates[:, 2 * hs : 3 * hs])
+            # i, f, g, o after nonlinearity: sigmoid(z) = (tanh(z / 2) + 1) / 2
+            # over all four in place, then tanh over g
+            act = np.multiply(gates, 0.5)
+            np.tanh(act, out=act)
+            act += 1.0
+            act *= 0.5
+            np.tanh(gates[:, 2 * hs : 3 * hs], out=act[:, 2 * hs : 3 * hs])
             i, f, g, o = (act[:, k * hs : (k + 1) * hs] for k in range(4))
             c_next = f * c + i * g
             tanh_c = np.tanh(c_next)

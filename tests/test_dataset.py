@@ -1,6 +1,7 @@
 """Recording ingestion, round-trips, splits and augmentation."""
 
 import csv
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kinemotion import dataset
 from kinemotion.dataset import (
     Annotation,
     KEY_MOVEMENTS,
@@ -343,6 +345,57 @@ def signal_texts(draw):
     return "".join(line + end for line, end in zip(lines, endings))
 
 
+# Where the readers part ways: bytes np.loadtxt strips around a field and
+# float does not (\x1c-\x1f), numbers float reads and np.loadtxt does not
+# (1_0, Arabic-Indic digits), a NUL, and any short string over the
+# one-pass reader's alphabet, on which both must agree.
+_pad = st.sampled_from(["", "\x1c", "\x1d", "\x1e", "\x1f", "\x0b", " "])
+_edge_value = st.sampled_from(
+    [
+        st.builds(lambda left, v, right: left + v + right, _pad, _finite, _pad),
+        st.sampled_from(["1_0", "\u0661", "\u0663.5", "\x00", "1\x000", "1e999"]),
+        st.text(alphabet="0123456789+-.eE", max_size=6),
+    ]
+).flatmap(lambda values: values)
+
+
+@st.composite
+def plain_edge_texts(draw):
+    """A signal file as write_recording writes it, with up to two edits that
+    take it off (or to the edge of) the one-pass reader's path: an odd
+    field, a blank or NUL line, \r\n or lone \r line ends, no final line
+    end, no rows at all, and (now and then) a header with a fifth column
+    or rows all three or all five columns wide, which np.loadtxt reads."""
+    header = draw(st.sampled_from(["t,ax,ay,az"] * 8 + ["t,ax,ay,az,", "t,ax,ay,az,0"]))
+    width = draw(st.sampled_from([4] * 8 + [3, 5]))
+    rows = draw(
+        st.lists(st.lists(_finite, min_size=width, max_size=width), max_size=6)
+    )
+    lines = [header] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        if rows and draw(st.booleans()):
+            at = draw(st.integers(1, len(rows)))
+            fields = lines[at].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(_edge_value)
+            lines[at] = ",".join(fields)
+        else:
+            at = draw(st.integers(1, len(lines)))
+            lines.insert(at, draw(st.sampled_from(["", "\x00"])))
+    style = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    if style == "mixed":
+        ends = draw(
+            st.lists(
+                st.sampled_from(["\n", "\r\n", "\r"]),
+                min_size=len(lines),
+                max_size=len(lines),
+            )
+        )
+    else:
+        ends = [style] * len(lines)
+    ends[-1] = draw(st.sampled_from([ends[-1], ""]))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
 class TestBulkSignalReader:
     """The bulk signal reader agrees with the row-by-row reference."""
 
@@ -356,6 +409,52 @@ class TestBulkSignalReader:
         path = tmp_path / "sig.csv"
         path.write_bytes(text.encode("utf-8"))
         assert outcome(_read_signal, path) == outcome(reference_read_signal, path)
+
+    @settings(
+        max_examples=500,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=plain_edge_texts())
+    def test_matches_reference_where_readers_differ(self, tmp_path, text):
+        path = tmp_path / "sig.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(_read_signal, path) == outcome(reference_read_signal, path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_written_recording_takes_one_pass_path(
+        self, tmp_path, monkeypatch, newline
+    ):
+        path = write_fixture(tmp_path, make_recording(n=300, seed=3))
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        expected = outcome(reference_read_signal, path)
+
+        def no_csv(*args):
+            raise AssertionError("csv path taken")
+
+        monkeypatch.setattr(dataset, "read_csv_body", no_csv)
+        assert outcome(_read_signal, path) == expected
+        assert expected[0] == "ok"
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("", "at least 2 rows"),
+            ("0.0,1.0,2.0,3.0\n", "at least 2 rows"),
+            ("\n", "expected 4 columns, got 0"),
+            ("\n\n\n", "expected 4 columns, got 0"),
+        ],
+    )
+    def test_short_or_blank_body_raises_without_warning(
+        self, tmp_path, body, message
+    ):
+        path = tmp_path / "sig.csv"
+        path.write_text("t,ax,ay,az\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=message) as err:
+                _read_signal(path)
+        assert err.value.line == 2
 
     def test_matches_reference_on_written_recording(self, tmp_path):
         path = write_fixture(tmp_path, make_recording(n=300, seed=3))
