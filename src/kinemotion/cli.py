@@ -43,14 +43,13 @@ from .errors import ConfigError, KinemotionError
 from .kinematics import window_offsets
 from .nn import load_checkpoint, save_checkpoint
 from .smoothness import (
-    aggregate_by_movement,
-    cohort_compare,
+    COHORTS,
     compare_cohort_table,
     evolution_from_table,
     load_table,
     record_for_segment,
     render_report,
-    session_evolution,
+    table_from_records,
 )
 from .synth import gen_dataset
 
@@ -233,29 +232,19 @@ def _cmd_assess(args):
     if not records:
         raise ConfigError(f"no labelled segments under {args.data}")
 
-    measures = {
-        "jerk": lambda r: r.jerk_stats,
-        "squared_jerk": lambda r: r.squared_jerk_stats,
-    }
-    for measure, pick in measures.items():
-        by_cohort = {"healthy": [], "patient": []}
-        for r in records:
-            by_cohort[r.group].append((r.movement, pick(r)))
-        if by_cohort["healthy"] and by_cohort["patient"]:
-            comparison = cohort_compare(
-                aggregate_by_movement(by_cohort["healthy"]),
-                aggregate_by_movement(by_cohort["patient"]),
-                axis=args.axis,
-            )
-            _write_report(comparison, args.out, f"cohort_comparison_{measure}")
+    if {r.group for r in records} == set(COHORTS):
+        for measure in ("jerk", "squared_jerk"):
+            table = table_from_records(records, "cohort", measure, args.axis)
+            _write_report(compare_cohort_table(table, axis=args.axis), args.out,
+                          f"cohort_comparison_{measure}")
 
     patients = sorted({r.subject_id for r in records if r.group == "patient"})
     for subject in patients:
         own = [r for r in records if r.subject_id == subject]
-        if not any(r.session == 1 for r in own):
-            continue
-        flags = session_evolution(own, axis=args.axis)
-        _write_report(flags, args.out, f"improvement_{subject}")
+        if any(r.session == 1 for r in own):
+            table = table_from_records(own, "session", "squared_jerk", args.axis)
+            _write_report(evolution_from_table(table, axis=args.axis), args.out,
+                          f"improvement_{subject}")
     return 0
 
 

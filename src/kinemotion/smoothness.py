@@ -9,7 +9,10 @@ with header ``movement,statistic,cohort_or_session,value`` where
 statistic is mean|max|min and the third column is either a cohort name
 (healthy|patient) or a session number (an integer >= 1).  Each movement
 in a table needs every statistic in every column (both cohorts, or each
-session number the table uses) exactly once.
+session number the table uses) exactly once.  Tables pooled from
+recordings (:func:`table_from_records`) have the same cells, so the
+comparison and the flags are computed by one function each, whichever
+source the numbers come from.
 """
 
 from __future__ import annotations
@@ -81,26 +84,6 @@ def record_for_segment(recording, annotation) -> SmoothnessRecord:
         jerk_stats=jerk_stats,
         squared_jerk_stats=sq_stats,
     )
-
-
-def aggregate_stats(stats_list) -> AxisStats:
-    """Combine per-segment statistics: mean of means, max of maxes, min of mins."""
-    stats_list = list(stats_list)
-    if not stats_list:
-        raise DegenerateInputError("nothing to aggregate")
-    return AxisStats(
-        mean=np.mean([s.mean for s in stats_list], axis=0),
-        maximum=np.max([s.maximum for s in stats_list], axis=0),
-        minimum=np.min([s.minimum for s in stats_list], axis=0),
-    )
-
-
-def aggregate_by_movement(stats_by_record) -> dict[str, AxisStats]:
-    """Aggregate an iterable of (movement, AxisStats) pairs per movement."""
-    grouped: dict[str, list] = {}
-    for movement, stats in stats_by_record:
-        grouped.setdefault(movement, []).append(stats)
-    return {m: aggregate_stats(sl) for m, sl in grouped.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +199,31 @@ def load_table(path) -> ReferenceTable:
     return ReferenceTable(kind, columns, values)
 
 
-def cohort_table_from_stats(stats_by_movement, axis="x") -> dict:
-    """Project {movement: AxisStats} to one cohort column of scalar cells."""
-    table = {}
-    for movement, stats in stats_by_movement.items():
-        mean, maximum, minimum = stats.along(axis)
-        table[movement] = {"mean": mean, "max": maximum, "min": minimum}
-    return table
+def table_from_records(records, kind, measure, axis="x") -> ReferenceTable:
+    """Pool records' ``measure`` ("jerk" or "squared_jerk") into one axis's table.
+
+    Columns come from each record's group (kind "cohort") or session
+    (kind "session").  A cell is the mean of the per-segment means,
+    summed left to right in record order, the max of the maxes or the
+    min of the mins.  Unlike a loaded table, a movement may lack a column
+    that none of its records has.
+    """
+    pools: dict = {}
+    for rec in records:
+        column = rec.group if kind == "cohort" else rec.session
+        stats = getattr(rec, f"{measure}_stats").along(axis)
+        pools.setdefault(rec.movement, {}).setdefault(column, []).append(stats)
+    values = {}
+    for movement, by_column in pools.items():
+        cells = values[movement] = {s: {} for s in STATISTICS}
+        for column, triples in by_column.items():
+            means, maxima, minima = zip(*triples)
+            # ufunc accumulate adds in order; a 1-D np.mean sums pairwise
+            cells["mean"][column] = float(np.add.accumulate(means)[-1] / len(means))
+            cells["max"][column] = max(maxima)
+            cells["min"][column] = min(minima)
+    columns = COHORTS if kind == "cohort" else tuple(sorted({r.session for r in records}))
+    return ReferenceTable(kind, columns, values)
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +302,13 @@ def compare_tables(healthy: dict, patient: dict, axis="x") -> CohortComparison:
     return CohortComparison(axis=axis, cells=cells)
 
 
-def cohort_compare(healthy, patient, axis="x") -> CohortComparison:
-    """Healthy-vs-patient contrast from aggregated {movement: AxisStats}."""
-    return compare_tables(
-        cohort_table_from_stats(healthy, axis),
-        cohort_table_from_stats(patient, axis),
-        axis=axis,
-    )
-
-
 def compare_cohort_table(table: ReferenceTable, axis="x") -> CohortComparison:
-    """Contrast straight from a loaded cohort reference table."""
+    """Contrast from a cohort reference table, loaded or built from records."""
     healthy, patient = {}, {}
     for movement, stats in table.values.items():
-        healthy[movement] = {s: stats[s]["healthy"] for s in STATISTICS}
-        patient[movement] = {s: stats[s]["patient"] for s in STATISTICS}
+        for cohort, column in (("healthy", healthy), ("patient", patient)):
+            if cohort in stats["mean"]:
+                column[movement] = {s: stats[s][cohort] for s in STATISTICS}
     return compare_tables(healthy, patient, axis=axis)
 
 
@@ -382,31 +375,8 @@ def evolution_from_means(means_by_movement: dict, axis="x") -> ImprovementFlags:
     return ImprovementFlags(axis=axis, movements=movements)
 
 
-def session_evolution(records, axis="x") -> ImprovementFlags:
-    """Flags for one patient's records across sessions.
-
-    Multiple segments of the same movement and session are aggregated
-    by the mean of their per-segment squared-jerk means.
-    """
-    records = list(records)
-    if not records:
-        raise DegenerateInputError("no records given")
-    subjects = {r.subject_id for r in records}
-    if len(subjects) > 1:
-        raise ContractError(f"records span several subjects: {sorted(subjects)}")
-    pooled: dict = {}
-    for rec in records:
-        mean, _, _ = rec.squared_jerk_stats.along(axis)
-        pooled.setdefault(rec.movement, {}).setdefault(rec.session, []).append(mean)
-    means = {
-        movement: {s: float(np.mean(v)) for s, v in sessions.items()}
-        for movement, sessions in pooled.items()
-    }
-    return evolution_from_means(means, axis=axis)
-
-
 def evolution_from_table(table: ReferenceTable, axis="x") -> ImprovementFlags:
-    """Flags recomputed from a loaded session reference table (mean rows)."""
+    """Flags from a session reference table's mean rows, loaded or built."""
     means = {m: dict(stats["mean"]) for m, stats in table.values.items()}
     return evolution_from_means(means, axis=axis)
 

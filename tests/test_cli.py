@@ -542,6 +542,88 @@ class TestAssessAndReport:
         assert err.startswith("error:") and signal.name in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "annotations, label, message",
+        [
+            ("H*.annotations.csv", "M4", "movement M4 missing from a cohort"),
+            ("P100_s1_*.annotations.csv", "M2",
+             "movement M2: session 1 baseline is missing"),
+        ],
+        ids=["cohort-movement", "session-baseline"],
+    )
+    def test_assess_ragged_data_is_a_data_error(
+        self, synth_dir, tmp_path, capsys, annotations, label, message
+    ):
+        # drop one movement's segments from the healthy recordings, or from
+        # one patient's first session while later sessions keep it
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        files = sorted(data.glob(annotations))
+        assert files
+        for path in files:
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(l for l in lines if not l.endswith(f",{label}")) + "\n")
+        code = run_cli("assess", "--data", str(data), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {message}\n"
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        n_per_class=st.integers(6, 14),
+        healthy_fraction=st.sampled_from([0.25, 0.5]),
+        seed=st.integers(0, 2**16),
+        axis=st.sampled_from(["x", "y", "z"]),
+    )
+    def test_tables_from_data_round_trip_through_fixtures(
+        self, n_per_class, healthy_fraction, seed, axis
+    ):
+        # each table `assess --data` pools, written in the fixture format,
+        # gives `assess --fixtures` the same comparison and flags bytes
+        import tempfile
+        from pathlib import Path
+
+        from kinemotion.dataset import is_key_movement, load_dataset_dir
+        from kinemotion.smoothness import record_for_segment, table_from_records
+
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            assert run_cli("synth", "--n-per-class", str(n_per_class), "--healthy-fraction",
+                           str(healthy_fraction), "--seed", str(seed),
+                           "--out", str(tmp / "data")) == 0
+            assert run_cli("assess", "--data", str(tmp / "data"), "--axis", axis,
+                           "--out", str(tmp / "from_data")) == 0
+            records = [
+                record_for_segment(rec, ann)
+                for rec in load_dataset_dir(tmp / "data")
+                for ann in rec.annotations
+                if is_key_movement(ann.label)
+            ]
+            cases = [(f"cohort_comparison_{m}", "cohort_comparison",
+                      table_from_records(records, "cohort", m, axis), [])
+                     for m in ("jerk", "squared_jerk")]
+            for subject in sorted({r.subject_id for r in records if r.group == "patient"}):
+                own = [r for r in records if r.subject_id == subject]
+                cases.append((f"improvement_{subject}", f"improvement_{subject}",
+                              table_from_records(own, "session", "squared_jerk", axis),
+                              ["--patient", subject]))
+            written = sorted(p.name for p in (tmp / "from_data").iterdir())
+            assert written == sorted(f"{c[0]}.{ext}" for c in cases for ext in ("csv", "json"))
+            for data_stem, fixture_stem, table, extra in cases:
+                fixture = tmp / f"{data_stem}_table.csv"
+                fixture.write_text("movement,statistic,cohort_or_session,value\n" + "".join(
+                    f"{m},{s},{c},{v!r}\n"
+                    for m, stats in table.values.items()
+                    for s, cells in stats.items()
+                    for c, v in cells.items()
+                ))
+                out = tmp / data_stem
+                assert run_cli("assess", "--fixtures", str(fixture), "--axis", axis,
+                               *extra, "--out", str(out)) == 0
+                for ext in ("csv", "json"):
+                    assert (out / f"{fixture_stem}.{ext}").read_bytes() == (
+                        tmp / "from_data" / f"{data_stem}.{ext}").read_bytes()
+
     def test_assess_requires_exactly_one_source(self, tmp_path):
         assert run_cli("assess", "--out", str(tmp_path)) == 2
 

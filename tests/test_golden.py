@@ -1,18 +1,25 @@
-"""`report` and `assess --fixtures` outputs of the bundled tables, byte for byte.
+"""`report` and `assess` outputs, byte for byte.
 
 ``tests/golden/report`` holds what ``kinemotion report`` writes for each
 bundled table and ``tests/golden/assess/<table>`` what ``kinemotion assess
 --fixtures`` writes.  The files were written before the reference tables
 and their renderers were merged into one type and one render path; a
 difference here is a change of output, not of design.
+
+``tests/golden/assess_data`` holds what ``kinemotion assess --data`` writes
+for the recordings of :func:`write_assess_data`, written before the data
+path was moved onto the reference-table comparison and flags.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kinemotion import bundled_table
 from kinemotion.cli import run
+from kinemotion.dataset import Annotation, Recording, write_recording
+from kinemotion.kinematics import ACCELERATION, TimeSeries3D
 
 GOLDEN = Path(__file__).parent / "golden"
 TABLES = [
@@ -42,3 +49,54 @@ def test_assess_fixtures_matches_golden(tmp_path, table):
     assert run(["assess", "--fixtures", str(bundled_table(table)), "--out", str(tmp_path)]) == 0
     expected = GOLDEN / "assess" / table
     assert_same_files(tmp_path, expected, [p.name for p in expected.iterdir()])
+
+
+# (subject, group, session, segment labels in order) of each recording; a
+# label listed twice pools two segments, and R3/R5 are distractors that
+# assess skips.  Every pool, cohort or session, has fewer than 8 segments.
+ASSESS_DATA = [
+    ("H01", "healthy", 1, ("M1", "M2", "M3", "M4")),
+    ("H02", "healthy", 1, ("M1", "M2", "R3", "M3", "M4", "M4")),
+    ("P07", "patient", 1, ("M1", "M2", "M3", "M4")),
+    ("P07", "patient", 2, ("M1", "M1", "M2", "M3", "M4")),
+    ("P07", "patient", 3, ("M1", "M2", "M3", "M4", "R5")),
+    ("P08", "patient", 1, ("M1", "M2", "M3", "M4")),
+    ("P08", "patient", 2, ("M1", "M2", "M3", "M4")),
+    ("P08", "patient", 3, ("M4", "M3", "M2", "M2", "M1")),
+]
+
+
+def write_assess_data(out_dir):
+    """Recordings from integer arithmetic only: no random draws, no
+    transcendental functions.
+
+    Every sample is a multiple of 1/8, so jerk, squared jerk and their
+    per-segment sums are exact in float64 on any numpy; only the
+    divisions by a count round.
+    """
+    gap = np.zeros((5, 3))
+    for k, (subject, group, session, labels) in enumerate(ASSESS_DATA):
+        chunks, annotations, cursor = [gap], [], len(gap)
+        for j, label in enumerate(labels):
+            n = 12 + (5 * j + 3 * k) % 9
+            i = np.arange(n)[:, None]
+            a = np.arange(3)[None, :]
+            codes = (i * i * (a + 2) + i * (j + 3 * session) + 5 * k + a) % 23 - 11
+            scale = 1 + (k + j) % 3 if group == "patient" else 1
+            chunks += [codes * scale / 8.0, gap]
+            annotations.append(Annotation(cursor, cursor + n, label))
+            cursor += n + len(gap)
+        series = TimeSeries3D(
+            fs=50.0, samples=np.concatenate(chunks, axis=0), order=ACCELERATION
+        )
+        rec = Recording(subject, group, session, "dominant", "L1", series,
+                        tuple(annotations))
+        write_recording(rec, Path(out_dir) / f"{subject}_s{session}.csv")
+
+
+def test_assess_data_matches_golden(tmp_path):
+    write_assess_data(tmp_path / "data")
+    out = tmp_path / "out"
+    assert run(["assess", "--data", str(tmp_path / "data"), "--out", str(out)]) == 0
+    expected = GOLDEN / "assess_data"
+    assert_same_files(out, expected, [p.name for p in expected.iterdir()])

@@ -17,8 +17,6 @@ from kinemotion.smoothness import (
     PATIENT_HIGHER,
     ReferenceTable,
     SmoothnessRecord,
-    aggregate_stats,
-    cohort_compare,
     compare_cohort_table,
     compare_tables,
     evolution_from_means,
@@ -26,12 +24,25 @@ from kinemotion.smoothness import (
     load_table,
     movement_smoothness,
     render_report,
-    session_evolution,
+    table_from_records,
 )
 
 
 def stats_triple(mean, maximum, minimum):
     return AxisStats(mean=[mean] * 3, maximum=[maximum] * 3, minimum=[minimum] * 3)
+
+
+def record(group="patient", session=1, movement="M1", jerk=(0.0, 1.0, -1.0),
+           squared=(1.0, 2.0, 0.0)):
+    return SmoothnessRecord("P9", group, session, movement,
+                            stats_triple(*jerk), stats_triple(*squared))
+
+
+def left_to_right_mean(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
 
 
 class TestMovementSmoothness:
@@ -67,19 +78,47 @@ class TestMovementSmoothness:
 
 class TestAggregation:
     def test_mean_of_means_max_of_maxes_min_of_mins(self):
-        stats = [stats_triple(1.0, 10.0, -5.0), stats_triple(3.0, 4.0, -9.0)]
-        agg = aggregate_stats(stats)
-        assert agg.mean[0] == 2.0
-        assert agg.maximum[0] == 10.0
-        assert agg.minimum[0] == -9.0
+        records = [
+            record("healthy", jerk=(1.0, 10.0, -5.0)),
+            record("healthy", jerk=(3.0, 4.0, -9.0)),
+        ]
+        table = table_from_records(records, "cohort", "jerk")
+        assert table.kind == "cohort" and table.columns == COHORTS
+        assert table.cell("M1", "mean", "healthy") == 2.0
+        assert table.cell("M1", "max", "healthy") == 10.0
+        assert table.cell("M1", "min", "healthy") == -9.0
+        assert "patient" not in table.values["M1"]["mean"]
+
+    def test_pools_of_nine_or_more_sum_left_to_right(self):
+        # one large mean and eight ones: added in order each +1 rounds
+        # away, while numpy's 1-D pairwise sum adds the ones first
+        means = [2.0**53] + [1.0] * 8
+        session = [record(session=1, squared=(m, m, 0.0)) for m in means]
+        cohort = [record(group, squared=(m, m, 0.0)) for group in COHORTS for m in means]
+        expected = left_to_right_mean(means)
+        assert table_from_records(session, "session", "squared_jerk").cell(
+            "M1", "mean", 1) == expected
+        table = table_from_records(cohort, "cohort", "squared_jerk")
+        for group in COHORTS:
+            assert table.cell("M1", "mean", group) == expected
+
+    def test_axis_picks_the_column(self):
+        rec = SmoothnessRecord(
+            "P9", "patient", 1, "M1", stats_triple(0.0, 1.0, -1.0),
+            AxisStats(mean=[1.0, 2.0, 3.0], maximum=[4.0, 5.0, 6.0], minimum=[0.0] * 3),
+        )
+        table = table_from_records([rec], "session", "squared_jerk", axis="y")
+        assert [table.cell("M1", s, 1) for s in ("mean", "max", "min")] == [2.0, 5.0, 0.0]
 
 
 class TestCohortCompare:
     def test_identical_cohorts_are_equal_with_unit_ratio(self):
-        cohort = {
-            m: stats_triple(1.5, 9.0, -3.0) for m in ("M1", "M2", "M3", "M4")
-        }
-        comparison = cohort_compare(cohort, cohort)
+        records = [
+            record(group, movement=m, jerk=(1.5, 9.0, -3.0))
+            for group in COHORTS
+            for m in ("M1", "M2", "M3", "M4")
+        ]
+        comparison = compare_cohort_table(table_from_records(records, "cohort", "jerk"))
         for (movement, statistic), cell in comparison.cells.items():
             assert cell.direction == EQUAL
             assert cell.ratio == 1.0
@@ -101,9 +140,12 @@ class TestCohortCompare:
             assert backward.cells[key].direction == swap[cell.direction]
 
     def test_missing_movement_is_named(self):
-        cohort = {m: stats_triple(1, 2, 0) for m in ("M1", "M2", "M3")}
-        with pytest.raises(ContractError, match="M4"):
-            cohort_compare(cohort, cohort)
+        # a table built from records is ragged where one cohort lacks a movement
+        records = [record("healthy", movement=m) for m in ("M1", "M2", "M3", "M4")]
+        records += [record("patient", movement=m) for m in ("M1", "M2", "M3")]
+        table = table_from_records(records, "cohort", "jerk")
+        with pytest.raises(ContractError, match="movement M4 missing from a cohort"):
+            compare_cohort_table(table)
 
     def test_reference_jerk_table_contrast(self):
         # published cohort result: patients' M3 mean-jerk magnitude is
@@ -164,30 +206,13 @@ class TestSessionEvolution:
             assert base.improved("M2") == scaled.improved("M2")
 
     def test_records_pathway_aggregates_segment_means(self):
-        def record(session, mean):
-            return SmoothnessRecord(
-                subject_id="P9",
-                group="patient",
-                session=session,
-                movement="M1",
-                jerk_stats=stats_triple(0.0, 1.0, -1.0),
-                squared_jerk_stats=stats_triple(mean, mean * 10, 0.0),
-            )
-
-        records = [record(1, 4.0), record(1, 6.0), record(2, 2.0), record(3, 9.0)]
-        flags = session_evolution(records)
+        records = [
+            record(session=session, squared=(mean, mean * 10, 0.0))
+            for session, mean in ((1, 4.0), (1, 6.0), (2, 2.0), (3, 9.0))
+        ]
+        flags = evolution_from_table(table_from_records(records, "session", "squared_jerk"))
         assert flags.movements["M1"].baseline == 5.0  # mean of 4 and 6
         assert flags.improved("M1") == frozenset({2})
-
-    def test_mixed_subjects_rejected(self):
-        a = SmoothnessRecord(
-            "P1", "patient", 1, "M1", stats_triple(0, 1, -1), stats_triple(1, 2, 0)
-        )
-        b = SmoothnessRecord(
-            "P2", "patient", 1, "M1", stats_triple(0, 1, -1), stats_triple(1, 2, 0)
-        )
-        with pytest.raises(ContractError):
-            session_evolution([a, b])
 
 
 PATIENT_EXPECTATIONS = {
