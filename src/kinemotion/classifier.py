@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dataset import KEY_MOVEMENTS, augment_shift, label_index
+from .dataset import KEY_MOVEMENTS, augment_offsets, shifted_rows
 from .errors import ConfigError, ContractError, TrainingDiverged
-from .kinematics import AXES, TimeSeries3D, window_offsets
+from .kinematics import AXES, Epoch, TimeSeries3D, window_offsets
 from .nn import (
     LSTM,
     Adam,
@@ -199,31 +199,23 @@ class EvalResult:
 EVAL_CHUNK = 32
 
 
-def _stack(epochs):
-    """One (B, 3, W) network input from epochs stored as (W, 3) rows."""
-    return np.stack([ep.values for ep in epochs]).transpose(0, 2, 1)
+def predict_proba(net: Network, x, rows=None) -> np.ndarray:
+    """(N, 4) class probabilities (eval mode) of the epochs of a (B, 3, W) array.
 
-
-def predict_proba(net: Network, epochs) -> np.ndarray:
-    """(N, 4) class probabilities for N epochs (eval mode), in chunks.
-
-    Every epoch must have the model window, or without a declared
-    window the length of the first epoch.
+    With ``rows``, of the epochs ``x[rows]`` only.  Each forward pass
+    gathers EVAL_CHUNK epochs.  W must be the model window when the
+    network declares one.
     """
-    epochs = list(epochs)
     window = net.input_len
-    for ep in epochs:
-        window = len(ep) if window is None else window
-        if len(ep) != window:
-            raise ContractError(
-                f"epoch length {len(ep)} does not match the model window {window}"
-            )
-    probs = np.empty((len(epochs), N_CLASSES))
-    for start in range(0, len(epochs), EVAL_CHUNK):
-        chunk = epochs[start : start + EVAL_CHUNK]
-        probs[start : start + len(chunk)] = softmax(
-            net.forward(_stack(chunk), train=False)
+    if window is not None and x.shape[-1] != window:
+        raise ContractError(
+            f"epoch length {x.shape[-1]} does not match the model window {window}"
         )
+    rows = np.arange(len(x)) if rows is None else rows
+    probs = np.empty((len(rows), N_CLASSES))
+    for start in range(0, len(rows), EVAL_CHUNK):
+        chunk = x[rows[start : start + EVAL_CHUNK]]
+        probs[start : start + len(chunk)] = softmax(net.forward(chunk, train=False))
     return probs
 
 
@@ -312,7 +304,6 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
     front = Network(net.layers[:depth])
     lstm = net.layers[depth] if depth < len(net.layers) else None
     signal = series.samples.T  # (3, n)
-    probs = np.empty((len(offsets), N_CLASSES))
     phases = offsets % total
     groups = [np.flatnonzero(phases == p) for p in np.flatnonzero(np.bincount(phases))]
     reach = (steps - 1) * total + span  # samples one window's features depend on
@@ -324,11 +315,9 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
         5 * shared > 4 * len(offsets) * _conv_macs(front.layers, window)
     ):
         windows = sliding_window_view(signal, window, axis=1)  # (3, n - W + 1, W)
-        for at in range(0, len(offsets), EVAL_CHUNK):
-            batch = windows[:, offsets[at : at + EVAL_CHUNK]].transpose(1, 0, 2)
-            probs[at : at + EVAL_CHUNK] = softmax(net.forward(batch))
-        return probs
+        return predict_proba(net, windows.transpose(1, 0, 2), offsets)
     head = Network(net.layers[depth + 1 :])
+    probs = np.empty((len(offsets), N_CLASSES))
     per_block = max(1, (FRONT_END_BLOCK - span) // total + 1)
     time = np.arange(steps)[:, None]
     for rows in groups:
@@ -355,57 +344,58 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
     return probs
 
 
-def predict(net: Network, epoch):
+def predict(net: Network, epoch: Epoch):
     """Class probabilities and argmax label for one epoch (eval mode)."""
-    probs = predict_proba(net, [epoch])[0]
+    probs = predict_proba(net, epoch.values.T[None])[0]
     return probs, KEY_MOVEMENTS[int(np.argmax(probs))]
 
 
-def evaluate(net: Network, test_set) -> EvalResult:
-    """Accuracy and 4x4 confusion matrix over a labelled epoch set."""
-    test_set = list(test_set)
-    if not test_set:
+def evaluate(net: Network, x, labels, rows) -> EvalResult:
+    """Accuracy and 4x4 confusion matrix over the epochs ``x[rows]`` of a
+    (N, 3, W) array with class indices ``labels``."""
+    if not len(rows):
         raise ContractError("cannot evaluate on an empty set")
-    predicted = predict_proba(net, [item.epoch for item in test_set]).argmax(axis=1)
-    truth = [label_index(item.label) for item in test_set]
+    predicted = predict_proba(net, x, rows).argmax(axis=1)
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=int)
-    np.add.at(confusion, (truth, predicted), 1)
+    np.add.at(confusion, (labels[rows], predicted), 1)
     return EvalResult(
-        accuracy=float(np.trace(confusion)) / len(test_set), confusion=confusion
+        accuracy=float(np.trace(confusion)) / len(rows), confusion=confusion
     )
 
 
-def train(net: Network, train_set, test_set, cfg: TrainConfig) -> TrainLog:
+def train(net: Network, x, labels, train_rows, test_rows, cfg: TrainConfig) -> TrainLog:
     """Mini-batch Adam with fresh time-shift augmentation each training epoch.
 
-    Every training epoch re-augments each stored example once (the
-    stored data is never mutated; the augmented view is what gets
-    batched) and shuffles.  Each mini-batch is one (B, 3, W) array
-    sent through one forward pass, one batch-mean loss and one
-    backward pass, whose gradients step Adam.  Dropout draws one mask
-    per layer per batch.  Fully deterministic given (seed, data,
-    config).  Raises :class:`TrainingDiverged` on a non-finite loss.
+    Trains on rows ``train_rows`` of the (N, 3, W) epoch array ``x`` with
+    class indices ``labels``, and evaluates rows ``test_rows`` after each
+    training epoch.  Each training epoch draws one time shift per training
+    row and shuffles; each mini-batch gathers its shifted rows (``x`` is
+    never mutated, and no shifted copy of the whole set is made) for one
+    forward pass, one batch-mean loss and one backward pass, whose
+    gradients step Adam.  Dropout draws one mask per layer per batch.
+    Fully deterministic given (seed, data, config).  Raises
+    :class:`TrainingDiverged` on a non-finite loss.
     """
-    train_set, test_set = list(train_set), list(test_set)
-    if not train_set or not test_set:
+    if not len(train_rows) or not len(test_rows):
         raise ContractError("train and test sets must be non-empty")
     weights = np.asarray(cfg.class_weights, dtype=np.float64)
-    labels = np.array([label_index(ex.label) for ex in train_set])
+    train_labels, n, w = labels[train_rows], len(train_rows), x.shape[2]
     optimizer = Adam(lr=cfg.lr)
     params = net.parameters()
     log = TrainLog()
 
     for epoch_no in range(1, cfg.epochs + 1):
         rng = np.random.default_rng([cfg.seed, epoch_no])
-        view = [augment_shift(ex, cfg.augment_max_frac, rng).epoch for ex in train_set]
-        order = rng.permutation(len(view))
+        offsets = augment_offsets(n, w, cfg.augment_max_frac, rng)
+        order = rng.permutation(n)
 
         total_loss = 0.0
         correct = 0
-        for batch_no, start in enumerate(range(0, len(order), cfg.batch_size)):
+        for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
-            targets = labels[batch]
-            scores = net.forward(_stack([view[i] for i in batch]), train=True, rng=rng)
+            targets = train_labels[batch]
+            inputs = shifted_rows(x, train_rows[batch], offsets[batch])
+            scores = net.forward(inputs, train=True, rng=rng)
             loss, dscores = softmax_cross_entropy(scores, targets, weights)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch_no, batch_no)
@@ -413,9 +403,9 @@ def train(net: Network, train_set, test_set, cfg: TrainConfig) -> TrainLog:
             correct += int(np.sum(np.argmax(scores, axis=1) == targets))
             optimizer.step(params, net.backward(dscores))
 
-        result = evaluate(net, test_set)
-        log.train_loss.append(total_loss / len(view))
-        log.train_acc.append(correct / len(view))
+        result = evaluate(net, x, labels, test_rows)
+        log.train_loss.append(total_loss / n)
+        log.train_acc.append(correct / n)
         log.test_acc.append(result.accuracy)
         log.confusion = result.confusion
 

@@ -99,18 +99,28 @@ def _resolve_configs(args):
     return ModelConfig(**model_kw), TrainConfig(**train_kw)
 
 
-def _load_epochs(data_dir, input_len):
-    epochs = []
-    for rec in load_dataset_dir(data_dir):
-        epochs.extend(extract_epochs(rec, input_len).epochs)
-    if not epochs:
+# train refuses a window over this many times the longest key-movement
+# segment: a longer one adds only interpolated points, while the epoch
+# array (N x 3 x W float64) grows with it
+MAX_WINDOW_PER_SEGMENT = 4
+
+
+def _load_epochs(data_dir, input_len, bounded=False):
+    recordings = load_dataset_dir(data_dir)
+    longest = max((a.end - a.start for r in recordings for a in r.annotations
+                   if is_key_movement(a.label)), default=0)
+    if longest < 2:
         raise ConfigError(f"no labelled segments found under {data_dir}")
-    return epochs
+    if bounded and input_len > MAX_WINDOW_PER_SEGMENT * longest:
+        raise ConfigError(f"window {input_len} exceeds {MAX_WINDOW_PER_SEGMENT} x the "
+                          f"longest key-movement segment ({longest} samples) under "
+                          f"{data_dir}")
+    return extract_epochs(recordings, input_len)
 
 
-def _split(epochs, args):
+def _split(data, args):
     cfg = SplitConfig(train_fraction=args.train_fraction, seed=args.split_seed)
-    return split_train_test(epochs, cfg)
+    return split_train_test(data.labels, cfg)
 
 
 def _write_report(obj, out_dir, stem):
@@ -142,10 +152,10 @@ def _cmd_synth(args):
 
 def _cmd_train(args):
     model_cfg, train_cfg = _resolve_configs(args)
-    epochs = _load_epochs(args.data, model_cfg.input_len)
-    train_set, test_set = _split(epochs, args)
+    data = _load_epochs(args.data, model_cfg.input_len, bounded=True)
+    train_rows, test_rows = _split(data, args)
     net = build_model(model_cfg, seed=train_cfg.seed)
-    log = train(net, train_set, test_set, train_cfg)
+    log = train(net, data.x, data.labels, train_rows, test_rows, train_cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -153,7 +163,7 @@ def _cmd_train(args):
     (out / "train_log.csv").write_text(log.to_csv(), encoding="utf-8")
     (out / "confusion.csv").write_text(log.confusion_to_csv(), encoding="utf-8")
     print(
-        f"trained {train_cfg.epochs} training epochs on {len(train_set)} epochs; "
+        f"trained {train_cfg.epochs} training epochs on {len(train_rows)} epochs; "
         f"final test accuracy {log.test_acc[-1]:.4f}"
     )
     print(f"checkpoint: {out / 'model.knm'}")
@@ -162,14 +172,14 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     ckpt = load_checkpoint(args.checkpoint)
-    epochs = _load_epochs(args.data, ckpt.net.input_len)
-    _, test_set = _split(epochs, args)
-    result = evaluate(ckpt.net, test_set)
+    data = _load_epochs(args.data, ckpt.net.input_len)
+    _, test_rows = _split(data, args)
+    result = evaluate(ckpt.net, data.x, data.labels, test_rows)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log = TrainLog(confusion=result.confusion)
     (out / "confusion.csv").write_text(log.confusion_to_csv(), encoding="utf-8")
-    print(f"test accuracy {result.accuracy:.4f} on {len(test_set)} epochs")
+    print(f"test accuracy {result.accuracy:.4f} on {len(test_rows)} epochs")
     return 0
 
 
@@ -179,9 +189,10 @@ def _cmd_classify(args):
     rec = parse_recording(args.recording)
 
     if args.mode == "segments":
-        result = extract_epochs(rec, input_len)
-        spans = [(a.start, a.end, a.label) for a in result.annotations]
-        probs = predict_proba(ckpt.net, [labelled.epoch for labelled in result.epochs])
+        data = extract_epochs([rec], input_len)
+        labels = [KEY_MOVEMENTS[k] for k in data.labels]
+        spans = list(zip(data.starts.tolist(), data.ends.tolist(), labels))
+        probs = predict_proba(ckpt.net, data.x)
     else:
         probs = predict_windows(ckpt.net, rec.series, args.stride)
         offsets = window_offsets(len(rec.series), input_len, args.stride)

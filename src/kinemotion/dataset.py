@@ -19,7 +19,9 @@ row, a non-finite value, ...), is split by ``csv.reader`` and converted
 with ``float``: it keeps the exact ``csv`` semantics of quoting,
 whitespace and error line and field.
 
-The train/test split is always stratified by movement class.
+Training data stay arrays: :func:`extract_epochs` resamples every key
+segment into one (N, 3, W) array, the stratified split returns row-index
+arrays into it and :func:`shifted_rows` gathers shifted rows from it.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ParseError
-from .kinematics import ACCELERATION, Epoch, TimeSeries3D, resample
+from .errors import ContractError, InvalidDataError, ParseError
+from .kinematics import ACCELERATION, TimeSeries3D
 
 KEY_MOVEMENTS = ("M1", "M2", "M3", "M4")
 DISTRACTORS = tuple(f"R{k}" for k in range(1, 20))
@@ -52,25 +54,11 @@ def is_key_movement(label: str) -> bool:
     return label in KEY_MOVEMENTS
 
 
-def label_index(label: str) -> int:
-    """Class index 0..3 of a key movement label."""
-    try:
-        return KEY_MOVEMENTS.index(label)
-    except ValueError:
-        raise ContractError(f"not a key movement label: {label!r}") from None
-
-
-def _label_fault(label):
-    """Why ``label`` is no movement label; None when it is one."""
-    return None if label in ALL_LABELS else f"unknown movement label {label!r}"
-
-
 def annotation_value_fault(start, end, label):
     """The first broken rule of one annotation as ``(field, message)``, naming
     the annotation-file column at fault; None when there is none."""
-    fault = _label_fault(label)
-    if fault is not None:
-        return "label", fault
+    if label not in ALL_LABELS:
+        return "label", f"unknown movement label {label!r}"
     if not (0 <= start < end):
         return "start_index", (
             f"annotation range must satisfy 0 <= start < end, got [{start}, {end})"
@@ -157,19 +145,6 @@ class Recording:
     def segment(self, annotation: Annotation) -> TimeSeries3D:
         """The raw series slice covered by one annotation."""
         return self.series.slice(annotation.start, annotation.end)
-
-
-@dataclass(frozen=True)
-class LabeledEpoch:
-    """Classifier input unit: a fixed-length epoch plus its movement label."""
-
-    epoch: Epoch
-    label: str
-
-    def __post_init__(self):
-        fault = _label_fault(self.label)
-        if fault is not None:
-            raise ContractError(fault)
 
 
 @dataclass(frozen=True)
@@ -525,89 +500,101 @@ def load_dataset_dir(directory) -> list[Recording]:
 
 
 @dataclass(frozen=True)
-class ExtractResult:
-    """Epochs pulled from a recording, the annotation each came from (aligned
-    with ``epochs``) and the count of skipped segments."""
+class EpochSet:
+    """Key-movement epochs of one length W as arrays: ``x`` is C-contiguous
+    (N, 3, W) float64, the network's (channel, time) layout.  Row i has class
+    ``labels[i]`` (an index into KEY_MOVEMENTS) and came from samples
+    [starts[i], ends[i]) of subject ``source_ids[i]``.  ``skipped`` counts
+    the key segments shorter than 2 samples, which give no row."""
 
-    epochs: tuple[LabeledEpoch, ...]
-    annotations: tuple[Annotation, ...]
+    x: np.ndarray
+    labels: np.ndarray
+    source_ids: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
     skipped: int = 0
 
 
-def extract_epochs(rec: Recording, w: int) -> ExtractResult:
-    """One fixed-length epoch per key-movement annotation.
+def extract_epochs(recordings, w: int) -> EpochSet:
+    """One length-``w`` epoch per key-movement annotation of a list of recordings.
 
-    Each M1..M4 segment is resampled to length ``w``; distractor
-    annotations are ignored, and segments shorter than 2 samples are
-    skipped (counted in the result).
+    Rows follow the recordings, then their annotations.  Each M1..M4
+    segment is linearly resampled to ``w`` points, bit-identical to
+    ``kinematics.resample`` of it; distractors are ignored and segments
+    shorter than 2 samples skipped (counted).  The segments are counted
+    first; each recording's rows are then written in one vectorised step.
     """
     if w < 2:
         raise ContractError(f"epoch length must be >= 2, got {w}")
-    epochs, used, skipped = [], [], 0
-    for ann in rec.annotations:
-        if not is_key_movement(ann.label):
-            continue
-        if ann.end - ann.start < 2:
-            skipped += 1
-            continue
-        used.append(ann)
-        seg = resample(rec.segment(ann), w)
-        epochs.append(
-            LabeledEpoch(
-                epoch=Epoch(
-                    values=seg.samples, source_id=rec.subject_id, offset=ann.start
-                ),
-                label=ann.label,
-            )
-        )
-    return ExtractResult(tuple(epochs), tuple(used), skipped)
+    keys = [[a for a in r.annotations if is_key_movement(a.label)] for r in recordings]
+    used = [[a for a in anns if a.end - a.start >= 2] for anns in keys]
+    flat = [a for anns in used for a in anns]
+    starts = np.array([a.start for a in flat], dtype=np.int64)
+    ends = np.array([a.end for a in flat], dtype=np.int64)
+    x = np.empty((len(flat), 3, w))
+    row = 0
+    for rec, anns in zip(recordings, used):
+        k, samples = slice(row, row + len(anns)), rec.series.samples
+        # resample reads np.interp over source times 0..n-1 at linspace(0, n-1, w):
+        # (y[j+1] - y[j]) * frac + y[j] on [j, j+1), but y[j] itself where
+        # frac == 0 (the endpoints; every point when n == w), even on overflow
+        t = np.linspace(0.0, ends[k] - starts[k] - 1.0, w, axis=-1)
+        j = t.astype(np.int64)
+        frac = (t - j)[..., None]
+        at = starts[k, None] + j
+        y0 = samples[at]  # (segments, w, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = (samples[np.minimum(at + 1, ends[k, None] - 1)] - y0) * frac + y0
+        x[k] = np.where(frac == 0, y0, y).transpose(0, 2, 1)
+        row += len(anns)
+    if not np.isfinite(x).all():  # a difference overflowed, as resample refuses
+        raise InvalidDataError("samples contain NaN or Inf")
+    return EpochSet(
+        x=x,
+        labels=np.array([KEY_MOVEMENTS.index(a.label) for a in flat], dtype=np.int64),
+        source_ids=np.repeat([r.subject_id for r in recordings], list(map(len, used))),
+        starts=starts,
+        ends=ends,
+        skipped=sum(map(len, keys)) - len(flat),
+    )
 
 
-def split_train_test(epochs, cfg: SplitConfig):
-    """Disjoint, exhaustive train/test partition, deterministic in the seed.
+def split_train_test(labels, cfg: SplitConfig):
+    """Disjoint, exhaustive train/test partition of the rows with class ``labels``.
 
+    Returns (train, test) row-index arrays, deterministic in the seed.
     Always stratified: shuffles within each movement class and takes
-    round(n_class * train_fraction) training epochs per class; rounding
-    is half-up.
+    round(n_class * train_fraction) training rows per class (rounding
+    half-up); classes follow KEY_MOVEMENTS order.
     """
-    epochs = list(epochs)
-    rng = np.random.default_rng(cfg.seed)
-    by_class = {label: [] for label in KEY_MOVEMENTS}
-    for i, ep in enumerate(epochs):
-        if ep.label not in by_class:
-            raise ContractError(
-                f"stratified split expects key-movement labels, got {ep.label!r}"
-            )
-        by_class[ep.label].append(i)
-    empty = [label for label, idx in by_class.items() if not idx]
+    labels = np.asarray(labels)
+    by_class = [np.flatnonzero(labels == k) for k in range(len(KEY_MOVEMENTS))]
+    empty = [m for m, rows in zip(KEY_MOVEMENTS, by_class) if not len(rows)]
     if empty:
         raise ContractError(f"stratified split with empty class(es): {empty}")
 
+    rng = np.random.default_rng(cfg.seed)
     train, test = [], []
-    for label in KEY_MOVEMENTS:
-        idx = np.asarray(by_class[label])
-        order = rng.permutation(len(idx))
-        cut = int(np.floor(len(idx) * cfg.train_fraction + 0.5))
-        train += [epochs[i] for i in idx[order[:cut]]]
-        test += [epochs[i] for i in idx[order[cut:]]]
-    return train, test
+    for rows in by_class:
+        order = rng.permutation(len(rows))
+        cut = int(np.floor(len(rows) * cfg.train_fraction + 0.5))
+        train.append(rows[order[:cut]])
+        test.append(rows[order[cut:]])
+    return np.concatenate(train), np.concatenate(test)
 
 
-def shift_epoch(labeled: LabeledEpoch, offset: int) -> LabeledEpoch:
-    """Circularly shift an epoch along time by ``offset`` samples."""
-    shifted = np.roll(labeled.epoch.values, offset, axis=0)
-    return replace(labeled, epoch=replace(labeled.epoch, values=shifted))
-
-
-def augment_shift(labeled: LabeledEpoch, max_frac: float, rng) -> LabeledEpoch:
-    """Random circular time shift of up to ``max_frac`` of the epoch length.
-
-    The offset is drawn uniformly from [-max_frac*W, +max_frac*W]
-    (integers, inclusive); label and length are untouched and the
-    caller's generator advances deterministically.
-    """
+def augment_offsets(n: int, w: int, max_frac: float, rng) -> np.ndarray:
+    """``n`` circular time shifts for length-``w`` epochs, each uniform over the
+    integers in [-max_frac*w, +max_frac*w]: one draw, yielding what n scalar
+    draws would and advancing ``rng`` as they do."""
     if not (0.0 <= max_frac <= 0.5):
         raise ContractError(f"max_frac must be in [0, 0.5], got {max_frac}")
-    span = int(max_frac * len(labeled.epoch))
-    offset = int(rng.integers(-span, span + 1))
-    return shift_epoch(labeled, offset)
+    span = int(max_frac * w)
+    return rng.integers(-span, span + 1, size=n)
+
+
+def shifted_rows(x, rows, offsets) -> np.ndarray:
+    """Rows ``rows`` of the (N, C, W) array ``x``, row i circularly shifted in
+    time by ``offsets[i]`` (``np.roll`` along the last axis), in one gather."""
+    time = (np.arange(x.shape[2]) - offsets[:, None]) % x.shape[2]
+    return x[rows[:, None, None], np.arange(x.shape[1])[:, None], time[:, None, :]]

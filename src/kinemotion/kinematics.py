@@ -9,7 +9,8 @@ data therefore enters at order 2 and one differentiation yields jerk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,12 +85,15 @@ class TimeSeries3D:
         return self.samples[:, _axis_index(axis)]
 
     def slice(self, start, stop):
-        """Sub-series over sample indices [start, stop), same fs and tags."""
+        """Sub-series over sample indices [start, stop), same fs and tags; its
+        samples are a read-only view of these, neither copied nor checked again."""
         if not (0 <= start < stop <= len(self)):
             raise ContractError(
                 f"slice [{start}, {stop}) out of range for length {len(self)}"
             )
-        return replace(self, samples=self.samples[start:stop])
+        sub = copy.copy(self)
+        object.__setattr__(sub, "samples", self.samples[start:stop])
+        return sub
 
 
 @dataclass(frozen=True)

@@ -95,13 +95,16 @@ class Conv1D(Layer):
         out += self.params["b"][:, None]
         return out
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
+        # input_grad=False (the network's first layer) skips dx, returning None
         cols, in_shape = self._cache
         w = self.params["w"]
         self.grads = {
             "w": np.tensordot(dout, cols, axes=([0, 2], [0, 2])).reshape(w.shape),
             "b": dout.sum(axis=(0, 2)),
         }
+        if not input_grad:
+            return None
         l_out = dout.shape[2]
         dcols = (w.reshape(self.out_channels, -1).T @ dout).reshape(
             in_shape[0], self.in_channels, self.kernel, l_out
@@ -447,8 +450,11 @@ class Network:
         checked shape-congruent with its parameter.
         """
         grad = dout
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+        for i, layer in reversed(list(enumerate(self.layers))):
+            if i == 0 and isinstance(layer, Conv1D):  # no one reads d(loss)/d(input)
+                layer.backward(grad, input_grad=False)
+            else:
+                grad = layer.backward(grad)
         bundle = self.gradients()
         params = self.parameters()
         for key, g in bundle.items():

@@ -17,16 +17,16 @@ from kinemotion.cli import run as run_cli
 from kinemotion.dataset import (
     Annotation,
     KEY_MOVEMENTS,
-    LabeledEpoch,
     Recording,
     SplitConfig,
-    augment_shift,
+    augment_offsets,
     parse_recording,
+    shifted_rows,
     split_train_test,
     write_recording,
 )
 from kinemotion.errors import ParseError
-from kinemotion.kinematics import Epoch, TimeSeries3D, differentiate
+from kinemotion.kinematics import TimeSeries3D, differentiate
 from kinemotion.nn import gradient_check
 from kinemotion.smoothness import (
     HEALTHY_HIGHER,
@@ -227,38 +227,33 @@ def test_criterion_8_data_layer_properties(tmp_path):
     # split disjointness, exhaustiveness, stratification under fuzzing
     for trial in range(20):
         counts = rng.integers(2, 25, size=4)
-        epochs = [
-            LabeledEpoch(epoch=Epoch(values=rng.normal(size=(12, 3))), label=label)
-            for label, count in zip(KEY_MOVEMENTS, counts)
-            for _ in range(count)
-        ]
+        labels = rng.permutation(np.repeat(np.arange(len(KEY_MOVEMENTS)), counts))
         frac = float(rng.uniform(0.5, 0.9))
         train, test = split_train_test(
-            epochs, SplitConfig(train_fraction=frac, seed=trial)
+            labels, SplitConfig(train_fraction=frac, seed=trial)
         )
-        if sorted(map(id, train + test)) != sorted(map(id, epochs)):
+        if sorted(np.concatenate([train, test])) != list(range(len(labels))):
             failures.append(f"split trial {trial}: partition not exhaustive/disjoint")
-        for label, count in zip(KEY_MOVEMENTS, counts):
-            got = sum(e.label == label for e in train)
+        for k, (label, count) in enumerate(zip(KEY_MOVEMENTS, counts)):
+            got = np.sum(labels[train] == k)
             if abs(got - count * frac) > 1.0:
                 failures.append(f"split trial {trial}: {label} off by > 1 epoch")
 
-    # augmentation: identity at zero, per-axis permutation, label kept
+    # augmentation: identity at zero, per-axis permutation, rows kept
     for trial in range(20):
-        item = LabeledEpoch(
-            epoch=Epoch(values=rng.normal(size=(32, 3))),
-            label=KEY_MOVEMENTS[trial % 4],
+        x = rng.normal(size=(3, 3, 32))
+        rows = np.array([trial % 3])
+        same = shifted_rows(
+            x, rows, augment_offsets(1, 32, 0.0, np.random.default_rng(trial))
         )
-        same = augment_shift(item, 0.0, np.random.default_rng(trial))
-        if not np.array_equal(same.epoch.values, item.epoch.values):
+        if not np.array_equal(same, x[rows]):
             failures.append("augment with max_frac=0 must be the identity")
-        shifted = augment_shift(item, 0.5, rng)
-        if shifted.label != item.label or len(shifted.epoch) != 32:
-            failures.append("augment changed label or length")
+        shifted = shifted_rows(x, rows, augment_offsets(1, 32, 0.5, rng))
+        if shifted.shape != (1, 3, 32):
+            failures.append("augment changed the epoch count or length")
         for axis in range(3):
             if not np.array_equal(
-                np.sort(shifted.epoch.values[:, axis]),
-                np.sort(item.epoch.values[:, axis]),
+                np.sort(shifted[0, axis]), np.sort(x[rows[0], axis])
             ):
                 failures.append("augment is not a permutation per axis")
 

@@ -19,7 +19,7 @@ from kinemotion.classifier import (
     predict_windows,
     train,
 )
-from kinemotion.dataset import KEY_MOVEMENTS, LabeledEpoch, label_index
+from kinemotion.dataset import KEY_MOVEMENTS
 from kinemotion.errors import ConfigError
 from kinemotion.kinematics import Epoch, TimeSeries3D, window
 from kinemotion.nn import (
@@ -35,12 +35,25 @@ from kinemotion.nn import (
 
 
 def make_set(n_per_class, w, seed=0):
+    """A (4 * n_per_class, 3, w) epoch array and its class indices, class by class."""
     rng = np.random.default_rng(seed)
-    return [
-        LabeledEpoch(epoch=Epoch(values=rng.normal(size=(w, 3))), label=label)
-        for label in KEY_MOVEMENTS
-        for _ in range(n_per_class)
-    ]
+    x = rng.normal(size=(len(KEY_MOVEMENTS) * n_per_class, w, 3)).transpose(0, 2, 1)
+    labels = np.repeat(np.arange(len(KEY_MOVEMENTS)), n_per_class)
+    return np.ascontiguousarray(x), labels
+
+
+def as_epoch(row):
+    """One (3, W) row of an epoch array as a kinematics.Epoch."""
+    return Epoch(values=row.T)
+
+
+def train_on(net, train_set, test_set, cfg):
+    """``train`` on two (x, labels) sets stacked into one array."""
+    x = np.concatenate([train_set[0], test_set[0]])
+    labels = np.concatenate([train_set[1], test_set[1]])
+    rows = np.arange(len(x))
+    n_train = len(train_set[0])
+    return train(net, x, labels, rows[:n_train], rows[n_train:], cfg)
 
 
 class TestModelConfig:
@@ -107,82 +120,82 @@ class TestPredictEvaluate:
         head = net.layers[-1]
         head.params["w"] = np.zeros_like(head.params["w"])
         head.params["b"] = np.zeros_like(head.params["b"])
-        item = make_set(1, w=64)[0]
-        probs, _ = predict(net, item.epoch)
+        x, _ = make_set(1, w=64)
+        probs, _ = predict(net, as_epoch(x[0]))
         np.testing.assert_array_equal(probs, [0.25, 0.25, 0.25, 0.25])
 
     def test_wrong_epoch_length_rejected(self):
         from kinemotion.errors import ContractError
 
         net = build_model(ModelConfig.toy(), seed=3)
-        item = make_set(1, w=48)[0]
+        x, _ = make_set(1, w=48)
         with pytest.raises(ContractError, match="window"):
-            predict(net, item.epoch)
-
-    def test_mixed_epoch_lengths_rejected_without_declared_window(self):
-        from kinemotion.classifier import predict_proba
-        from kinemotion.errors import ContractError
-
-        net = build_model(ModelConfig.toy(), seed=3)
-        net.input_len = None
-        items = make_set(1, w=64) + make_set(1, w=72)
+            predict(net, as_epoch(x[0]))
         with pytest.raises(ContractError, match="window 64"):
-            predict_proba(net, [item.epoch for item in items])
+            predict_proba(net, x)
 
     def test_probabilities_sum_to_one(self):
         net = build_model(ModelConfig.toy(), seed=2)
-        for item in make_set(3, w=64, seed=3):
-            probs, label = predict(net, item.epoch)
+        for row in make_set(3, w=64, seed=3)[0]:
+            probs, label = predict(net, as_epoch(row))
             assert abs(probs.sum() - 1.0) < 1e-12
             assert label in KEY_MOVEMENTS
 
     def test_accuracy_matches_scalar_loop(self):
         net = build_model(ModelConfig.toy(), seed=4)
-        test_set = make_set(6, w=64, seed=5)
-        result = evaluate(net, test_set)
+        x, labels = make_set(6, w=64, seed=5)
+        result = evaluate(net, x, labels, np.arange(len(x)))
         correct = sum(
-            predict(net, item.epoch)[1] == item.label for item in test_set
+            predict(net, as_epoch(row))[1] == KEY_MOVEMENTS[label]
+            for row, label in zip(x, labels)
         )
-        assert result.accuracy == correct / len(test_set)
-        assert result.confusion.sum() == len(test_set)
+        assert result.accuracy == correct / len(x)
+        assert result.confusion.sum() == len(x)
+        # rows select epochs of the array, in their order
+        rows = np.array([5, 0, 17, 9])
+        part = evaluate(net, x, labels, rows)
+        np.testing.assert_array_equal(
+            part.confusion, evaluate(net, x[rows], labels[rows], np.arange(4)).confusion
+        )
 
     def test_confusion_row_sums_match_class_counts(self):
         rng = np.random.default_rng(6)
         net = build_model(ModelConfig.toy(), seed=6)
         counts = rng.integers(1, 8, size=4)
-        test_set = []
-        for label, count in zip(KEY_MOVEMENTS, counts):
-            test_set += [
-                LabeledEpoch(epoch=Epoch(values=rng.normal(size=(64, 3))), label=label)
-                for _ in range(count)
-            ]
-        result = evaluate(net, test_set)
+        labels = np.repeat(np.arange(4), counts)
+        x = rng.normal(size=(len(labels), 3, 64))
+        result = evaluate(net, x, labels, np.arange(len(x)))
         np.testing.assert_array_equal(result.confusion.sum(axis=1), counts)
 
     def test_perfect_and_constant_predictors(self):
         # oracle paths through the confusion bookkeeping, no model needed
         from kinemotion.classifier import N_CLASSES
-        from kinemotion.dataset import label_index
 
-        test_set = make_set(5, w=8, seed=7)
+        _, labels = make_set(5, w=8, seed=7)
         confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=int)
-        for item in test_set:
-            confusion[label_index(item.label), label_index(item.label)] += 1
+        for label in labels:
+            confusion[label, label] += 1
         perfect = EvalResult(
-            accuracy=np.trace(confusion) / len(test_set), confusion=confusion
+            accuracy=np.trace(confusion) / len(labels), confusion=confusion
         )
         assert perfect.accuracy == 1.0
         assert np.all(np.diag(np.diag(perfect.confusion)) == perfect.confusion)
 
         constant = np.zeros((N_CLASSES, N_CLASSES), dtype=int)
-        for item in test_set:
-            constant[label_index(item.label), 0] += 1
-        assert np.trace(constant) / len(test_set) == 0.25
+        for label in labels:
+            constant[label, 0] += 1
+        assert np.trace(constant) / len(labels) == 0.25
 
 
 def random_series(rows, seed=0):
     rng = np.random.default_rng(seed)
     return TimeSeries3D(fs=50.0, samples=rng.normal(size=(rows, 3)))
+
+
+def windows_of(series, w, stride):
+    """The epochs ``kinematics.window`` cuts, as one (N, 3, w) array."""
+    epochs = window(series, w, stride)
+    return np.array([ep.values.T for ep in epochs]).reshape(len(epochs), 3, w)
 
 
 def assert_rows_agree(got, want):
@@ -227,7 +240,7 @@ class TestPredictWindows:
         series = random_series(rows, seed=rows)
         assert_rows_agree(
             predict_windows(net, series, stride),
-            predict_proba(net, window(series, w, stride)),
+            predict_proba(net, windows_of(series, w, stride)),
         )
 
     @pytest.mark.parametrize("w", [128, 256])
@@ -248,7 +261,7 @@ class TestPredictWindows:
         monkeypatch.setattr(first, "forward", counting)
         got = predict_windows(net, series, stride)
         monkeypatch.undo()
-        assert_rows_agree(got, predict_proba(net, window(series, w, stride)))
+        assert_rows_agree(got, predict_proba(net, windows_of(series, w, stride)))
         assert sum(seen) <= len(got) * w
 
     def test_blocks_match_one_unblocked_pass(self, monkeypatch):
@@ -282,7 +295,7 @@ class TestPredictWindows:
         got = predict_windows(net, series, 1)
         del net.forward
         assert sum(calls) == len(got) == 300 - 32 + 1
-        assert_rows_agree(got, predict_proba(net, window(series, 32, 1)))
+        assert_rows_agree(got, predict_proba(net, windows_of(series, 32, 1)))
 
     @pytest.mark.parametrize("stride", [8, 999])  # phase passes, whole windows
     def test_lstm_narrower_than_the_front_end_is_rejected(self, stride):
@@ -309,9 +322,7 @@ class TestTrain:
         # only the optimiser step moves weights; an untrained net is near uniform
         net = build_model(ModelConfig.toy(), seed=8)
         before = {k: v.copy() for k, v in net.parameters().items()}
-        train_set = make_set(4, w=64, seed=8)
-        x = np.stack([item.epoch.values for item in train_set]).transpose(0, 2, 1)
-        targets = np.array([label_index(item.label) for item in train_set])
+        x, targets = make_set(4, w=64, seed=8)
         scores = net.forward(x, train=True, rng=np.random.default_rng(8))
         loss, dscores = softmax_cross_entropy(scores, targets, np.ones(4))
         net.backward(dscores)
@@ -327,28 +338,27 @@ class TestTrain:
         logs = []
         for _ in range(2):
             net = build_model(ModelConfig.toy(), seed=12)
-            logs.append(train(net, train_set, test_set, cfg))
+            logs.append(train_on(net, train_set, test_set, cfg))
         assert logs[0].train_loss == logs[1].train_loss
         assert logs[0].train_acc == logs[1].train_acc
         assert logs[0].test_acc == logs[1].test_acc
         np.testing.assert_array_equal(logs[0].confusion, logs[1].confusion)
 
     def test_training_does_not_mutate_stored_dataset(self):
-        train_set = make_set(3, w=64, seed=13)
-        snapshot = [item.epoch.values.copy() for item in train_set]
+        x, labels = make_set(3, w=64, seed=13)
+        snapshot = x.copy()
         net = build_model(ModelConfig.toy(), seed=13)
         cfg = TrainConfig(epochs=2, batch_size=4, seed=13)
-        train(net, train_set, make_set(1, w=64, seed=14), cfg)
-        for item, before in zip(train_set, snapshot):
-            np.testing.assert_array_equal(item.epoch.values, before)
+        train(net, x, labels, np.arange(0, 12, 2), np.arange(1, 12, 2), cfg)
+        np.testing.assert_array_equal(x, snapshot)
 
     def test_log_lengths_and_confusion_totals(self):
         net = build_model(ModelConfig.toy(), seed=15)
         test_set = make_set(2, w=64, seed=16)
         cfg = TrainConfig(epochs=4, batch_size=8, seed=15)
-        log = train(net, make_set(3, w=64, seed=15), test_set, cfg)
+        log = train_on(net, make_set(3, w=64, seed=15), test_set, cfg)
         assert len(log.train_loss) == len(log.train_acc) == len(log.test_acc) == 4
-        assert log.confusion.sum() == len(test_set)
+        assert log.confusion.sum() == len(test_set[0])
 
     def test_non_finite_loss_aborts_with_location(self):
         from kinemotion.errors import TrainingDiverged
@@ -358,14 +368,14 @@ class TestTrain:
         head.params["b"] = np.full_like(head.params["b"], np.nan)
         cfg = TrainConfig(epochs=1, batch_size=4, seed=19)
         with pytest.raises(TrainingDiverged) as err:
-            train(net, make_set(2, w=64, seed=19), make_set(1, w=64, seed=20), cfg)
+            train_on(net, make_set(2, w=64, seed=19), make_set(1, w=64, seed=20), cfg)
         assert err.value.epoch == 1
         assert err.value.batch == 0
 
     def test_log_csv_round_trip(self):
         net = build_model(ModelConfig.toy(), seed=17)
         cfg = TrainConfig(epochs=2, batch_size=8, seed=17)
-        log = train(net, make_set(2, w=64, seed=17), make_set(1, w=64, seed=18), cfg)
+        log = train_on(net, make_set(2, w=64, seed=17), make_set(1, w=64, seed=18), cfg)
         lines = log.to_csv().strip().splitlines()
         assert lines[0] == "epoch,train_loss,train_acc,test_acc"
         assert len(lines) == 3

@@ -265,7 +265,8 @@ class TestClassifyChunks:
         self, trained_dir, tmp_path, monkeypatch
     ):
         from kinemotion import classifier
-        from kinemotion.dataset import Annotation, extract_epochs
+        from kinemotion.dataset import KEY_MOVEMENTS, Annotation, extract_epochs
+        from kinemotion.kinematics import Epoch
         from kinemotion.nn import load_checkpoint
 
         # eight key segments, a degenerate one and a distractor: with a
@@ -285,11 +286,13 @@ class TestClassifyChunks:
             "--out", str(out),
         ) == 0
         rows = classified_rows(out)
-        labelled = extract_epochs(rec, 96).epochs
-        assert len(labelled) == 8
-        assert [r["true_label"] for r in rows] == [item.label for item in labelled]
+        labelled = extract_epochs([rec], 96)
+        assert len(labelled.x) == 8
+        assert [r["true_label"] for r in rows] == [
+            KEY_MOVEMENTS[k] for k in labelled.labels
+        ]
         net = load_checkpoint(trained_dir / "model.knm").net
-        assert_rows_match_predict(rows, net, [item.epoch for item in labelled])
+        assert_rows_match_predict(rows, net, [Epoch(row.T) for row in labelled.x])
 
     def test_truncated_checkpoint_is_a_data_error(self, synth_dir, tmp_path, capsys):
         recording = sorted(
@@ -486,6 +489,42 @@ class TestConfigFile:
         assert code == 2
         assert "lr must be finite and > 0" in capsys.readouterr().err
         assert not (out / "model.knm").exists()
+
+    def test_window_bound_is_four_times_the_longest_segment(
+        self, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        from kinemotion import cli
+        from kinemotion.dataset import is_key_movement, load_dataset_dir
+
+        longest = max(
+            a.end - a.start
+            for rec in load_dataset_dir(synth_dir)
+            for a in rec.annotations
+            if is_key_movement(a.label)
+        )
+        extract = cli.extract_epochs
+        for window in (4 * longest + 1, 100000):
+            # refused before the epoch array is allocated
+            monkeypatch.setattr(cli, "extract_epochs", None)
+            out = tmp_path / f"w{window}"
+            code = run_cli(
+                "train", "--data", str(synth_dir), "--out", str(out),
+                "--epochs", "1", "--window", str(window),
+            )
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err == (
+                f"error: window {window} exceeds 4 x the longest key-movement "
+                f"segment ({longest} samples) under {synth_dir}\n"
+            )
+            assert not (out / "model.knm").exists()
+        monkeypatch.setattr(cli, "extract_epochs", extract)
+        out = tmp_path / "at_bound"
+        assert run_cli(
+            "train", "--data", str(synth_dir), "--out", str(out),
+            "--epochs", "1", "--batch-size", "64", "--window", str(4 * longest),
+        ) == 0
+        assert (out / "model.knm").exists()
 
 
 class TestAssessAndReport:

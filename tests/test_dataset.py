@@ -13,21 +13,20 @@ from kinemotion import dataset
 from kinemotion.dataset import (
     Annotation,
     KEY_MOVEMENTS,
-    LabeledEpoch,
     Recording,
     SplitConfig,
     _read_signal,
     annotation_value_fault,
-    augment_shift,
+    augment_offsets,
     extract_epochs,
     metadata_fault,
     parse_recording,
-    shift_epoch,
+    shifted_rows,
     split_train_test,
     write_recording,
 )
-from kinemotion.errors import ContractError, ParseError
-from kinemotion.kinematics import Epoch, TimeSeries3D, resample
+from kinemotion.errors import ContractError, InvalidDataError, ParseError
+from kinemotion.kinematics import TimeSeries3D, resample
 
 
 def make_recording(n=200, fs=50.0, annotations=(), seed=0, group="healthy", session=1):
@@ -556,145 +555,274 @@ class TestExtractEpochs:
                 Annotation(220, 360, "M2"),
             ],
         )
-        result = extract_epochs(rec, w=128)
-        assert len(result.epochs) == 3
+        result = extract_epochs([rec], w=128)
+        assert len(result.x) == 3
         assert result.skipped == 0
-        assert all(len(item.epoch) == 128 for item in result.epochs)
-        assert all(item.label == "M2" for item in result.epochs)
+        assert result.x.shape == (3, 3, 128) and result.x.flags.c_contiguous
+        assert all(KEY_MOVEMENTS[k] == "M2" for k in result.labels)
 
     def test_distractors_only_gives_empty(self):
         rec = make_recording(n=100, annotations=[Annotation(0, 50, "R5")])
-        result = extract_epochs(rec, w=64)
-        assert result.epochs == ()
+        result = extract_epochs([rec], w=64)
+        assert len(result.x) == 0
+        assert result.x.shape == (0, 3, 64)
 
     def test_short_segment_skipped_and_counted(self):
         rec = make_recording(
             n=100, annotations=[Annotation(0, 1, "M1"), Annotation(10, 60, "M1")]
         )
-        result = extract_epochs(rec, w=32)
-        assert len(result.epochs) == 1
+        result = extract_epochs([rec], w=32)
+        assert len(result.x) == 1
         assert result.skipped == 1
 
     def test_content_equals_resampled_slice(self):
         rec = make_recording(n=300, annotations=[Annotation(17, 140, "M3")])
-        result = extract_epochs(rec, w=128)
+        result = extract_epochs([rec], w=128)
         expected = resample(rec.series.slice(17, 140), 128)
-        np.testing.assert_array_equal(result.epochs[0].epoch.values, expected.samples)
-        assert result.epochs[0].epoch.offset == 17
+        np.testing.assert_array_equal(result.x[0], expected.samples.T)
+        assert result.starts[0] == 17 and result.ends[0] == 140
+
+    def test_rows_follow_recordings_then_annotations(self):
+        first = make_recording(
+            n=200, annotations=[Annotation(5, 50, "M4"), Annotation(60, 61, "M1"),
+                                Annotation(70, 120, "R2"), Annotation(130, 190, "M1")]
+        )
+        second = replace(
+            make_recording(n=150, seed=1, annotations=[Annotation(0, 150, "M2")]),
+            subject_id="S02",
+        )
+        result = extract_epochs([first, second], w=40)
+        assert [KEY_MOVEMENTS[k] for k in result.labels] == ["M4", "M1", "M2"]
+        assert list(result.source_ids) == ["S01", "S01", "S02"]
+        assert list(result.starts) == [5, 130, 0]
+        assert list(result.ends) == [50, 190, 150]
+        assert result.skipped == 1
+        np.testing.assert_array_equal(
+            result.x[2], resample(second.series, 40).samples.T
+        )
 
 
-def make_epochs(n_per_class, w=16, seed=0):
-    rng = np.random.default_rng(seed)
-    out = []
-    for label in KEY_MOVEMENTS:
-        for _ in range(n_per_class):
-            out.append(
-                LabeledEpoch(epoch=Epoch(values=rng.normal(size=(w, 3))), label=label)
-            )
-    return out
+# finite values anywhere in range, with ±1e308-scale ones common enough that
+# neighbour differences overflow, and -0.0 so the frac == 0 rule is exercised
+_SAMPLE_VALUES = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([1.7e308, -1.7e308, 1e308, -1e308, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def key_segments(draw):
+    """A window W and a recording whose key segments have 2 to 3W samples."""
+    w = draw(st.integers(2, 48), label="w")
+    lengths = draw(st.lists(
+        st.one_of(st.just(w), st.integers(2, 3 * w)), min_size=1, max_size=4
+    ), label="lengths")
+    gaps = draw(st.lists(st.integers(0, 3), min_size=len(lengths) + 1,
+                         max_size=len(lengths) + 1), label="gaps")
+    annotations, cursor = [], gaps[0]
+    for length, gap in zip(lengths, gaps[1:]):
+        label = draw(st.sampled_from(KEY_MOVEMENTS))
+        annotations.append(Annotation(cursor, cursor + length, label))
+        cursor += length + gap
+    huge = draw(st.booleans(), label="huge values")
+    elements = _SAMPLE_VALUES if huge else st.floats(-1e3, 1e3)
+    values = draw(st.lists(elements, min_size=3 * cursor, max_size=3 * cursor))
+    rec = Recording(
+        subject_id="S01", group="healthy", session=1, hand="dominant",
+        scenario="L1",
+        series=TimeSeries3D(fs=50.0, samples=np.reshape(values, (cursor, 3))),
+        annotations=tuple(annotations),
+    )
+    return w, rec
+
+
+class TestVectorisedExtraction:
+    """extract_epochs against kinematics.resample, the per-segment reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=key_segments())
+    def test_rows_equal_resample_bit_for_bit(self, case):
+        w, rec = case
+        try:
+            want = [resample(rec.segment(a), w).samples.T for a in rec.annotations]
+        except InvalidDataError:  # a neighbour difference overflowed
+            with pytest.raises(InvalidDataError):
+                extract_epochs([rec], w)
+            return
+        got = extract_epochs([rec], w)
+        assert got.x.shape == (len(want), 3, w)
+        # bit for bit: the same bytes, so -0.0 and 0.0 differ
+        assert got.x.tobytes() == np.array(want).tobytes()
+
+
+def make_labels(n_per_class):
+    return np.repeat(np.arange(len(KEY_MOVEMENTS)), n_per_class)
+
+
+def reference_split(labels, cfg):
+    """The per-class list walk split_train_test replaced."""
+    rng = np.random.default_rng(cfg.seed)
+    train, test = [], []
+    for k in range(len(KEY_MOVEMENTS)):
+        idx = np.asarray([i for i, label in enumerate(labels) if label == k])
+        order = rng.permutation(len(idx))
+        cut = int(np.floor(len(idx) * cfg.train_fraction + 0.5))
+        train += list(idx[order[:cut]])
+        test += list(idx[order[cut:]])
+    return train, test
 
 
 class TestSplit:
     def test_stratified_counts(self):
-        epochs = make_epochs(40)
-        train, test = split_train_test(epochs, SplitConfig(seed=1))
+        labels = make_labels(40)
+        train, test = split_train_test(labels, SplitConfig(seed=1))
         assert len(train) == 128 and len(test) == 32
-        for label in KEY_MOVEMENTS:
-            assert sum(e.label == label for e in train) == 32
-            assert sum(e.label == label for e in test) == 8
+        for k in range(len(KEY_MOVEMENTS)):
+            assert np.sum(labels[train] == k) == 32
+            assert np.sum(labels[test] == k) == 8
 
     def test_partition_is_disjoint_and_exhaustive(self):
-        epochs = make_epochs(11, seed=5)
-        train, test = split_train_test(epochs, SplitConfig(seed=9))
-        ids = lambda items: {id(e) for e in items}
-        assert ids(train) | ids(test) == ids(epochs)
-        assert ids(train) & ids(test) == set()
+        labels = np.random.default_rng(5).permutation(make_labels(11))
+        train, test = split_train_test(labels, SplitConfig(seed=9))
+        assert set(train) | set(test) == set(range(len(labels)))
+        assert set(train) & set(test) == set()
 
     def test_same_seed_same_partition(self):
-        epochs = make_epochs(10)
-        a = split_train_test(epochs, SplitConfig(seed=7))
-        b = split_train_test(epochs, SplitConfig(seed=7))
-        assert [id(e) for e in a[0]] == [id(e) for e in b[0]]
-        assert [id(e) for e in a[1]] == [id(e) for e in b[1]]
+        labels = make_labels(10)
+        a = split_train_test(labels, SplitConfig(seed=7))
+        b = split_train_test(labels, SplitConfig(seed=7))
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_different_seed_differs_somewhere(self):
-        epochs = make_epochs(10)
-        a = split_train_test(epochs, SplitConfig(seed=7))
-        c = split_train_test(epochs, SplitConfig(seed=8))
-        assert [id(e) for e in a[0]] != [id(e) for e in c[0]]
+        labels = make_labels(10)
+        a = split_train_test(labels, SplitConfig(seed=7))
+        c = split_train_test(labels, SplitConfig(seed=8))
+        assert list(a[0]) != list(c[0])
 
     def test_proportions_within_one_epoch(self):
         rng = np.random.default_rng(2)
         for trial in range(10):
             counts = rng.integers(3, 30, size=4)
-            epochs = []
-            for label, count in zip(KEY_MOVEMENTS, counts):
-                for _ in range(count):
-                    epochs.append(
-                        LabeledEpoch(
-                            epoch=Epoch(values=rng.normal(size=(8, 3))), label=label
-                        )
-                    )
+            labels = rng.permutation(np.repeat(np.arange(4), counts))
             frac = float(rng.uniform(0.5, 0.9))
             train, _ = split_train_test(
-                epochs, SplitConfig(train_fraction=frac, seed=trial)
+                labels, SplitConfig(train_fraction=frac, seed=trial)
             )
-            for label, count in zip(KEY_MOVEMENTS, counts):
-                got = sum(e.label == label for e in train)
+            for k, count in enumerate(counts):
+                got = np.sum(labels[train] == k)
                 assert abs(got - count * frac) <= 1.0
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        labels=st.lists(st.integers(0, 3), min_size=4, max_size=80).filter(
+            lambda labels: len(set(labels)) == 4
+        ),
+        frac=st.floats(0.05, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_the_per_class_list_walk(self, labels, frac, seed):
+        cfg = SplitConfig(train_fraction=frac, seed=seed)
+        train, test = split_train_test(np.array(labels), cfg)
+        want_train, want_test = reference_split(labels, cfg)
+        assert list(train) == want_train and list(test) == want_test
+
     def test_stratified_needs_every_class(self):
-        epochs = [e for e in make_epochs(5) if e.label != "M3"]
+        labels = make_labels(5)
         with pytest.raises(ContractError):
-            split_train_test(epochs, SplitConfig(seed=0))
+            split_train_test(labels[labels != 2], SplitConfig(seed=0))
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ContractError):
             SplitConfig(train_fraction=1.0)
 
 
+def make_x(n, w, seed=0):
+    return np.random.default_rng(seed).normal(size=(n, 3, w))
+
+
+def augment_shift(x, rows, max_frac, rng):
+    """One training epoch's augmentation: one draw of offsets, one gather."""
+    offsets = augment_offsets(len(rows), x.shape[2], max_frac, rng)
+    return shifted_rows(x, rows, offsets)
+
+
 class TestAugmentShift:
     def test_zero_fraction_is_identity(self):
-        item = make_epochs(1, w=32)[0]
-        out = augment_shift(item, 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(out.epoch.values, item.epoch.values)
+        x = make_x(4, 32)
+        rows = np.array([2, 0, 3])
+        out = augment_shift(x, rows, 0.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(out, x[rows])
 
     def test_forced_shift_inverts(self):
-        item = make_epochs(1, w=32, seed=4)[0]
-        back = shift_epoch(shift_epoch(item, 7), -7)
-        np.testing.assert_array_equal(back.epoch.values, item.epoch.values)
+        x = make_x(5, 32, seed=4)
+        rows = np.arange(5)
+        offsets = np.array([7, -7, 0, 31, -16])
+        back = shifted_rows(shifted_rows(x, rows, offsets), rows, -offsets)
+        np.testing.assert_array_equal(back, x)
 
     def test_deterministic_given_seed(self):
-        item = make_epochs(1, w=32, seed=4)[0]
-        a = augment_shift(item, 0.25, np.random.default_rng(42))
-        b = augment_shift(item, 0.25, np.random.default_rng(42))
-        np.testing.assert_array_equal(a.epoch.values, b.epoch.values)
+        x = make_x(6, 32, seed=4)
+        rows = np.arange(6)
+        a = augment_shift(x, rows, 0.25, np.random.default_rng(42))
+        b = augment_shift(x, rows, 0.25, np.random.default_rng(42))
+        np.testing.assert_array_equal(a, b)
 
     def test_label_length_and_multiset_preserved(self):
         rng = np.random.default_rng(6)
         for _ in range(25):
-            item = make_epochs(1, w=24, seed=int(rng.integers(1 << 30)))[0]
-            out = augment_shift(item, 0.5, rng)
-            assert out.label == item.label
-            assert len(out.epoch) == len(item.epoch)
-            for axis in range(3):
-                np.testing.assert_array_equal(
-                    np.sort(out.epoch.values[:, axis]),
-                    np.sort(item.epoch.values[:, axis]),
-                )
+            x = make_x(3, 24, seed=int(rng.integers(1 << 30)))
+            before = x.copy()
+            rows = rng.permutation(3)
+            out = augment_shift(x, rows, 0.5, rng)
+            assert out.shape == x.shape
+            np.testing.assert_array_equal(x, before)  # the stored rows stay put
+            np.testing.assert_array_equal(
+                np.sort(out, axis=-1), np.sort(x[rows], axis=-1)
+            )
 
     def test_offset_within_bounds(self):
-        item = make_epochs(1, w=40)[0]
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            out = augment_shift(item, 0.2, rng)
-            # recover the applied offset by matching the first source row
-            row = item.epoch.values[0]
-            hits = np.where((out.epoch.values == row).all(axis=1))[0]
+        x = make_x(200, 40)
+        rows = np.arange(200)
+        out = augment_shift(x, rows, 0.2, np.random.default_rng(0))
+        for row, shifted in zip(x, out):
+            # recover the applied offset by matching the first source sample
+            hits = np.where((shifted == row[:, :1]).all(axis=0))[0]
             offset = min((h if h <= 20 else h - 40 for h in hits), key=abs)
             assert abs(offset) <= 8  # 0.2 * 40
 
     def test_out_of_range_fraction_rejected(self):
-        item = make_epochs(1)[0]
         with pytest.raises(ContractError):
-            augment_shift(item, 0.6, np.random.default_rng(0))
+            augment_offsets(1, 16, 0.6, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("max_frac", [0.0, 0.2, 0.5])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        w=st.integers(2, 64),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_one_draw_and_gather_equal_scalar_draws_and_roll(
+        self, max_frac, n, w, seed, data
+    ):
+        x = make_x(n, w, seed=seed % 1000)
+        rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)),
+                        dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        got = augment_shift(x, rows, max_frac, rng)
+        ref_rng = np.random.default_rng(seed)
+        span = int(max_frac * w)
+        want = [
+            np.roll(x[r], int(ref_rng.integers(-span, span + 1)), axis=-1) for r in rows
+        ]
+        assert got.tobytes() == np.array(want).reshape(len(rows), 3, w).tobytes()
+        # the generator ends where the scalar draws leave it
+        assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+        # a mini-batch gathers what indexing the whole shifted set gives
+        offsets = augment_offsets(len(rows), w, max_frac, np.random.default_rng(seed))
+        batch = np.arange(len(rows))[::2]
+        np.testing.assert_array_equal(
+            shifted_rows(x, rows[batch], offsets[batch]), got[batch]
+        )

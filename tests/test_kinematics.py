@@ -44,6 +44,19 @@ class TestContainer:
         with pytest.raises(ValueError):
             ts.samples[0, 0] = 1.0
 
+    def test_slice_is_a_read_only_view_validated_once(self, monkeypatch):
+        ts = TimeSeries3D(fs=50.0, samples=np.arange(30.0).reshape(10, 3), unit="u")
+        monkeypatch.setattr(
+            TimeSeries3D, "__post_init__", lambda self: pytest.fail("validated again")
+        )
+        sub = ts.slice(2, 7)
+        assert np.shares_memory(sub.samples, ts.samples)
+        np.testing.assert_array_equal(sub.samples, ts.samples[2:7])
+        assert (sub.fs, sub.order, sub.unit, len(sub)) == (50.0, ts.order, "u", 5)
+        with pytest.raises(ValueError):
+            sub.samples[0, 0] = 1.0
+        assert len(ts) == 10
+
     def test_axis_stats_ordering_enforced(self):
         with pytest.raises(ContractError):
             AxisStats(mean=[2, 0, 0], maximum=[1, 1, 1], minimum=[0, 0, 0])

@@ -404,6 +404,27 @@ class TestNetworkDeterminism:
         for key in grads:
             assert grads[key].shape == params[key].shape
 
+    def test_backward_skips_only_the_input_gradient_of_layer_0(self, monkeypatch):
+        net = toy_network(12)
+        x = np.random.default_rng(12).normal(size=(4, 3, 12))
+        scores = net.forward(x, train=True, rng=np.random.default_rng(3))
+        _, dscores = softmax_cross_entropy(scores, [0, 1, 2, 3])
+        first, returned = net.layers[0], []
+        backward = first.backward
+        monkeypatch.setattr(
+            first, "backward", lambda *a, **kw: returned.append(backward(*a, **kw))
+        )
+        grads = {k: v.copy() for k, v in net.backward(dscores).items()}
+        monkeypatch.undo()
+        assert returned == [None]
+        # reference: every layer's backward, layer 0's input gradient included
+        grad = dscores
+        for layer in reversed(net.layers):
+            grad = layer.backward(grad)
+        assert grad.shape == x.shape
+        for key, g in net.gradients().items():
+            assert grads[key].tobytes() == g.tobytes()
+
 
 class TestCheckpoint:
     def test_round_trip_restores_forward(self, tmp_path):
