@@ -44,11 +44,12 @@ from .kinematics import window_offsets
 from .nn import load_checkpoint, save_checkpoint
 from .smoothness import (
     COHORTS,
+    MEASURES,
     compare_cohort_table,
     evolution_from_table,
     load_table,
-    record_for_segment,
     render_report,
+    smoothness_set,
     table_from_records,
 )
 from .synth import gen_dataset
@@ -124,12 +125,15 @@ def _split(data, args):
 
 
 def _write_report(obj, out_dir, stem):
+    # both formats are rendered before either file is written, so a cell
+    # that one of them cannot hold leaves no half-written report behind
+    csv_text, json_text = render_report(obj, "csv"), render_report(obj, "json")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{stem}.csv"
     json_path = out_dir / f"{stem}.json"
-    csv_path.write_text(render_report(obj, "csv"), encoding="utf-8")
-    json_path.write_text(render_report(obj, "json"), encoding="utf-8")
+    csv_path.write_text(csv_text, encoding="utf-8")
+    json_path.write_text(json_text, encoding="utf-8")
     print(f"wrote {csv_path} and {json_path}")
 
 
@@ -233,27 +237,20 @@ def _cmd_assess(args):
                           "cohort_comparison")
         return 0
 
-    recordings = load_dataset_dir(args.data)
-    records = [
-        record_for_segment(rec, ann)
-        for rec in recordings
-        for ann in rec.annotations
-        if is_key_movement(ann.label)
-    ]
-    if not records:
+    sset = smoothness_set(load_dataset_dir(args.data))
+    if not len(sset.movements):
         raise ConfigError(f"no labelled segments under {args.data}")
 
-    if {r.group for r in records} == set(COHORTS):
-        for measure in ("jerk", "squared_jerk"):
-            table = table_from_records(records, "cohort", measure, args.axis)
+    if set(sset.groups.tolist()) == set(COHORTS):
+        for measure in MEASURES:
+            table = table_from_records(sset, "cohort", measure, args.axis)
             _write_report(compare_cohort_table(table, axis=args.axis), args.out,
                           f"cohort_comparison_{measure}")
 
-    patients = sorted({r.subject_id for r in records if r.group == "patient"})
-    for subject in patients:
-        own = [r for r in records if r.subject_id == subject]
-        if any(r.session == 1 for r in own):
-            table = table_from_records(own, "session", "squared_jerk", args.axis)
+    for subject in sorted(set(sset.subject_ids[sset.groups == "patient"].tolist())):
+        own = sset.subject_ids == subject
+        if (sset.sessions[own] == 1).any():
+            table = table_from_records(sset, "session", "squared_jerk", args.axis, own)
             _write_report(evolution_from_table(table, axis=args.axis), args.out,
                           f"improvement_{subject}")
     return 0

@@ -97,31 +97,6 @@ class TimeSeries3D:
 
 
 @dataclass(frozen=True)
-class AxisStats:
-    """Per-axis mean / max / min of a series, each an (x, y, z) triple."""
-
-    mean: np.ndarray
-    maximum: np.ndarray
-    minimum: np.ndarray
-
-    def __post_init__(self):
-        for name in ("mean", "maximum", "minimum"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (3,):
-                raise ContractError(f"{name} must be an (x, y, z) triple")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if np.any(self.minimum > self.mean) or np.any(self.mean > self.maximum):
-            raise ContractError("per-axis ordering min <= mean <= max violated")
-
-    def along(self, axis):
-        """(mean, max, min) for one named axis."""
-        i = _axis_index(axis)
-        return float(self.mean[i]), float(self.maximum[i]), float(self.minimum[i])
-
-
-@dataclass(frozen=True)
 class Epoch:
     """Fixed-length window of (x, y, z) samples plus its provenance."""
 
@@ -159,48 +134,19 @@ def differentiate(series: TimeSeries3D) -> TimeSeries3D:
         )
     if not np.all(np.isfinite(x)):
         raise InvalidDataError("cannot differentiate a series with NaN or Inf")
-    out = np.empty_like(x)
-    out[1:-1] = (x[2:] - x[:-2]) * (series.fs / 2.0)
-    out[0] = (x[1] - x[0]) * series.fs
-    out[-1] = (x[-1] - x[-2]) * series.fs
     unit = _UNIT_CHAIN.get(series.unit, f"({series.unit})/s")
-    return TimeSeries3D(fs=series.fs, samples=out, order=series.order + 1, unit=unit)
+    return TimeSeries3D(fs=series.fs, samples=central_difference(x, series.fs),
+                        order=series.order + 1, unit=unit)
 
 
-def squared_jerk(jerk: TimeSeries3D) -> TimeSeries3D:
-    """Element-wise square of a jerk series, per axis.
-
-    Equals the square of the jerk's absolute value; all outputs are
-    non-negative and the length is preserved.  The input must sit at
-    jerk order in the derivative chain.
-    """
-    if jerk.order != JERK:
-        raise ContractError(
-            f"expected a jerk-order series (order {JERK}), got order {jerk.order}"
-        )
-    return TimeSeries3D(
-        fs=jerk.fs,
-        samples=jerk.samples**2,
-        order=jerk.order,
-        unit=f"({jerk.unit})^2",
-    )
-
-
-def segment_stats(series: TimeSeries3D) -> AxisStats:
-    """Per-axis arithmetic mean, maximum and minimum over all samples.
-
-    The mean accumulates left to right (ufunc accumulate) so results
-    are bit-identical to a plain sequential summation.
-    """
-    if len(series) == 0:
-        raise DegenerateInputError("cannot compute statistics of an empty series")
-    x = series.samples
-    total = np.add.accumulate(x, axis=0)[-1]
-    return AxisStats(
-        mean=total / len(series),
-        maximum=x.max(axis=0),
-        minimum=x.min(axis=0),
-    )
+def central_difference(x: np.ndarray, fs: float) -> np.ndarray:
+    """The array arithmetic of :func:`differentiate`: the time derivative of
+    the n >= 3 rows of ``x``, unchecked, so an overflow yields inf or NaN."""
+    out = np.empty_like(x)
+    out[1:-1] = (x[2:] - x[:-2]) * (fs / 2.0)
+    out[0] = (x[1] - x[0]) * fs
+    out[-1] = (x[-1] - x[-2]) * fs
+    return out
 
 
 def window_offsets(n: int, w: int, s: int) -> range:

@@ -2,15 +2,16 @@
 
 All published reference tables report a single axis (x), so comparisons
 and improvement flags are computed for one named axis at a time; the
-underlying records always carry all three axes.
+per-segment statistics of :func:`smoothness_set` always carry all three
+axes.
 
 Reference-table fixture format (also accepted from user files): CSV
 with header ``movement,statistic,cohort_or_session,value`` where
 statistic is mean|max|min and the third column is either a cohort name
 (healthy|patient) or a session number (an integer >= 1).  Each movement
 in a table needs every statistic in every column (both cohorts, or each
-session number the table uses) exactly once.  Tables pooled from
-recordings (:func:`table_from_records`) have the same cells, so the
+session number the table uses) exactly once.  Tables pooled from those
+statistics (:func:`table_from_records`) have the same cells, so the
 comparison and the flags are computed by one function each, whichever
 source the numbers come from.
 """
@@ -25,16 +26,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import KEY_MOVEMENTS, _parse_float, _parse_int, read_csv_body
-from .errors import ContractError, DegenerateInputError, ParseError
-from .kinematics import (
-    AxisStats,
-    TimeSeries3D,
-    differentiate,
-    segment_stats,
-    squared_jerk,
+from .dataset import (
+    KEY_MOVEMENTS,
+    _parse_float,
+    _parse_int,
+    is_key_movement,
+    read_csv_body,
 )
+from .errors import ContractError, DegenerateInputError, InvalidDataError, ParseError
+from .kinematics import AXES, _axis_index, central_difference
 
+MEASURES = ("jerk", "squared_jerk")
 STATISTICS = ("mean", "max", "min")
 COHORTS = ("healthy", "patient")
 
@@ -43,46 +45,57 @@ PATIENT_HIGHER = "patient_higher"
 EQUAL = "equal"
 
 
-def movement_smoothness(segment: TimeSeries3D):
-    """Jerk and squared-jerk statistics of one segmented movement.
-
-    Returns ``(jerk_stats, squared_jerk_stats)`` as per-axis
-    mean/max/min triples.
-    """
-    if len(segment) < 3:
-        raise DegenerateInputError(
-            f"segment too short for jerk computation: {len(segment)} samples"
-        )
-    jerk = differentiate(segment)
-    return segment_stats(jerk), segment_stats(squared_jerk(jerk))
-
-
 @dataclass(frozen=True)
-class SmoothnessRecord:
-    """Jerk statistics of one segmented movement of one subject session."""
+class SmoothnessSet:
+    """Jerk statistics of key-movement segments as arrays.
 
-    subject_id: str
-    group: str
-    session: int
-    movement: str
-    jerk_stats: AxisStats
-    squared_jerk_stats: AxisStats
+    ``stats[i, m, s, a]``, shape (N, 2, 3, 3), is statistic ``STATISTICS[s]``
+    of measure ``MEASURES[m]`` on axis ``AXES[a]`` over segment i.  The
+    segment is movement ``movements[i]`` of subject ``subject_ids[i]`` (of
+    ``groups[i]``) in session ``sessions[i]``.
+    """
 
-    def __post_init__(self):
-        if np.any(self.squared_jerk_stats.minimum < 0):
-            raise ContractError("squared-jerk statistics cannot be negative")
+    stats: np.ndarray
+    subject_ids: np.ndarray
+    groups: np.ndarray
+    sessions: np.ndarray
+    movements: np.ndarray
 
 
-def record_for_segment(recording, annotation) -> SmoothnessRecord:
-    """Compute a SmoothnessRecord for one annotated segment of a recording."""
-    jerk_stats, sq_stats = movement_smoothness(recording.segment(annotation))
-    return SmoothnessRecord(
-        subject_id=recording.subject_id,
-        group=recording.group,
-        session=recording.session,
-        movement=annotation.label,
-        jerk_stats=jerk_stats,
-        squared_jerk_stats=sq_stats,
+def smoothness_set(recordings) -> SmoothnessSet:
+    """Statistics of every key-movement (M1-M4) segment of some recordings.
+
+    Rows follow the recordings, then their annotations.  A segment's jerk
+    is ``differentiate(recording.segment(annotation))``, by the
+    :func:`central_difference` that ``differentiate`` calls; a mean sums
+    left to right (ufunc accumulate).  A segment under 3 samples, or one whose statistics
+    overflow float64, is an error.
+    """
+    keys = [(r, a) for r in recordings for a in r.annotations if is_key_movement(a.label)]
+    stats = np.empty((len(keys), len(MEASURES), len(STATISTICS), len(AXES)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, (rec, a) in zip(stats, keys):
+            n = a.end - a.start
+            if n < 3:
+                raise DegenerateInputError(
+                    f"segment too short for jerk computation: {n} samples"
+                )
+            jerk = central_difference(rec.series.samples[a.start : a.end], rec.series.fs)
+            both = np.stack((jerk, jerk * jerk), axis=1)  # (n, measure, axis)
+            row[:, 0] = np.add.accumulate(both)[-1] / n
+            row[:, 1] = both.max(axis=0)
+            row[:, 2] = both.min(axis=0)
+            if not np.isfinite(row).all():
+                raise InvalidDataError(
+                    f"{rec.subject_id} session {rec.session} {a.label} "
+                    f"[{a.start}, {a.end}): jerk statistics overflow float64"
+                )
+    return SmoothnessSet(
+        stats=stats,
+        subject_ids=np.array([r.subject_id for r, _ in keys], dtype=str),
+        groups=np.array([r.group for r, _ in keys], dtype=str),
+        sessions=np.array([r.session for r, _ in keys], dtype=np.int64),
+        movements=np.array([a.label for _, a in keys], dtype=str),
     )
 
 
@@ -199,31 +212,38 @@ def load_table(path) -> ReferenceTable:
     return ReferenceTable(kind, columns, values)
 
 
-def table_from_records(records, kind, measure, axis="x") -> ReferenceTable:
-    """Pool records' ``measure`` ("jerk" or "squared_jerk") into one axis's table.
+def table_from_records(sset, kind, measure, axis="x", rows=slice(None)) -> ReferenceTable:
+    """Pool ``rows`` of a SmoothnessSet (default all) into one axis's table
+    of ``measure`` ("jerk" or "squared_jerk").
 
-    Columns come from each record's group (kind "cohort") or session
-    (kind "session").  A cell is the mean of the per-segment means,
-    summed left to right in record order, the max of the maxes or the
-    min of the mins.  Unlike a loaded table, a movement may lack a column
-    that none of its records has.
+    Columns come from each row's group (kind "cohort") or session (kind
+    "session").  A cell is the mean of the per-segment means, summed left
+    to right in row order, the max of the maxes or the min of the mins.
+    Unlike a loaded table, a movement may lack a column that none of its
+    rows has; a mean that overflows float64 is an error.
     """
-    pools: dict = {}
-    for rec in records:
-        column = rec.group if kind == "cohort" else rec.session
-        stats = getattr(rec, f"{measure}_stats").along(axis)
-        pools.setdefault(rec.movement, {}).setdefault(column, []).append(stats)
+    movements = sset.movements[rows]
+    columns = (sset.groups if kind == "cohort" else sset.sessions)[rows]
+    stats = sset.stats[rows, MEASURES.index(measure), :, _axis_index(axis)]
     values = {}
-    for movement, by_column in pools.items():
-        cells = values[movement] = {s: {} for s in STATISTICS}
-        for column, triples in by_column.items():
-            means, maxima, minima = zip(*triples)
-            # ufunc accumulate adds in order; a 1-D np.mean sums pairwise
-            cells["mean"][column] = float(np.add.accumulate(means)[-1] / len(means))
-            cells["max"][column] = max(maxima)
-            cells["min"][column] = min(minima)
-    columns = COHORTS if kind == "cohort" else tuple(sorted({r.session for r in records}))
-    return ReferenceTable(kind, columns, values)
+    for movement, column in dict.fromkeys(zip(movements.tolist(), columns.tolist())):
+        means, maxima, minima = stats[(movements == movement) & (columns == column)].T
+        # ufunc accumulate adds in order; a 1-D np.mean sums pairwise
+        with np.errstate(over="ignore"):
+            mean = float(np.add.accumulate(means)[-1] / len(means))
+        if not np.isfinite(mean):
+            where = column if kind == "cohort" else f"session {column}"
+            raise InvalidDataError(
+                f"pooled {measure} mean of {movement} {where} overflows float64"
+            )
+        cells = values.setdefault(movement, {s: {} for s in STATISTICS})
+        cells["mean"][column] = mean
+        # builtin max and min keep the first of equal values (-0.0 or 0.0)
+        cells["max"][column] = max(maxima.tolist())
+        cells["min"][column] = min(minima.tolist())
+    if kind == "session":
+        return ReferenceTable(kind, tuple(sorted(set(columns.tolist()))), values)
+    return ReferenceTable(kind, COHORTS, values)
 
 
 # ---------------------------------------------------------------------------

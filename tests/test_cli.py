@@ -3,6 +3,7 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -156,6 +157,25 @@ class TestTrainEvalClassify:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("start_index,end_index")
+
+
+def assess_one_recording(tmp_path, samples, annotations):
+    """Run ``assess --data`` on one patient recording sampled at 1 Hz and
+    return the exit code, standard error and output directory."""
+    import contextlib
+    import io
+
+    from kinemotion.dataset import Annotation, Recording, write_recording
+    from kinemotion.kinematics import TimeSeries3D
+
+    rec = Recording("P1", "patient", 1, "dominant", "L1",
+                    TimeSeries3D(fs=1.0, samples=np.asarray(samples, dtype=float)),
+                    tuple(Annotation(*a) for a in annotations))
+    write_recording(rec, tmp_path / "data" / "P1.csv")
+    out, err = tmp_path / "out", io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli("assess", "--data", str(tmp_path / "data"), "--out", str(out))
+    return code, err.getvalue(), out
 
 
 def random_recording(path, rows, annotations=()):
@@ -607,6 +627,56 @@ class TestAssessAndReport:
         assert code == 2
         assert err == f"error: {message}\n"
 
+    def test_constant_jerk_segment_assesses(self, tmp_path):
+        # M1 holds 0, 0.1, 0.2 of a ramp rising 0.1 per sample: its jerk is
+        # 0.1 at every sample and its mean rounds 1 ulp above that, valid
+        # data all the same
+        ramp = 0.1 * np.clip(np.arange(20.0) - 10, 0, None)[:, None] * [1.0, 1.0, 1.0]
+        code, err, out = assess_one_recording(tmp_path, ramp, [(10, 13, "M1")])
+        assert (code, err) == (0, "")
+        assert sorted(p.name for p in out.iterdir()) == ["improvement_P1.csv",
+                                                         "improvement_P1.json"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_pooled_cell_is_a_data_error_writing_nothing(self, tmp_path):
+        # every segment is finite; the sum of their four means is not
+        segment = [[0.0] * 3, [0.0] * 3, [1.1e154] * 3]
+        code, err, out = assess_one_recording(
+            tmp_path, segment * 4, [(k, k + 3, "M1") for k in (0, 3, 6, 9)])
+        assert code == 2
+        assert err == "error: pooled squared_jerk mean of M1 session 1 overflows float64\n"
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_report_that_cannot_render_writes_no_file(self, tmp_path):
+        from kinemotion.cli import _write_report
+        from kinemotion.smoothness import COHORTS, STATISTICS, ReferenceTable
+
+        # the CSV holds an infinite cell; strict JSON cannot
+        cells = {s: {c: float("inf") for c in COHORTS} for s in STATISTICS}
+        with pytest.raises(ValueError):
+            _write_report(ReferenceTable("cohort", COHORTS, {"M1": cells}), tmp_path / "out", "t")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "segment, message",
+        [
+            ([[0.0] * 3, [1e308] * 3, [-1e308] * 3],
+             "P1 session 1 M1 [3, 6): jerk statistics overflow float64"),
+            (np.arange(3.0)[:, None] * [1e200, 0.0, 0.0],
+             "P1 session 1 M1 [3, 6): jerk statistics overflow float64"),
+            (np.arange(3.0)[:, None] * [1e154, 0.0, 0.0],
+             "P1 session 1 M1 [3, 6): jerk statistics overflow float64"),
+            ([[0.0] * 3, [1.0] * 3], "segment too short for jerk computation: 2 samples"),
+        ],
+        ids=["jerk-overflow", "squared-jerk-overflow", "mean-overflow", "too-short"],
+    )
+    def test_bad_segment_is_one_data_error(self, tmp_path, segment, message):
+        samples = np.vstack([np.zeros((3, 3)), segment, np.zeros((3, 3))])
+        code, err, _ = assess_one_recording(
+            tmp_path, samples, [(0, 3, "M2"), (3, 3 + len(segment), "M1")])
+        assert (code, err) == (2, f"error: {message}\n")
+
     @settings(max_examples=8, deadline=None)
     @given(
         n_per_class=st.integers(6, 14),
@@ -622,8 +692,8 @@ class TestAssessAndReport:
         import tempfile
         from pathlib import Path
 
-        from kinemotion.dataset import is_key_movement, load_dataset_dir
-        from kinemotion.smoothness import record_for_segment, table_from_records
+        from kinemotion.dataset import load_dataset_dir
+        from kinemotion.smoothness import MEASURES, smoothness_set, table_from_records
 
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
@@ -632,19 +702,14 @@ class TestAssessAndReport:
                            "--out", str(tmp / "data")) == 0
             assert run_cli("assess", "--data", str(tmp / "data"), "--axis", axis,
                            "--out", str(tmp / "from_data")) == 0
-            records = [
-                record_for_segment(rec, ann)
-                for rec in load_dataset_dir(tmp / "data")
-                for ann in rec.annotations
-                if is_key_movement(ann.label)
-            ]
+            sset = smoothness_set(load_dataset_dir(tmp / "data"))
             cases = [(f"cohort_comparison_{m}", "cohort_comparison",
-                      table_from_records(records, "cohort", m, axis), [])
-                     for m in ("jerk", "squared_jerk")]
-            for subject in sorted({r.subject_id for r in records if r.group == "patient"}):
-                own = [r for r in records if r.subject_id == subject]
+                      table_from_records(sset, "cohort", m, axis), [])
+                     for m in MEASURES]
+            for subject in sorted(set(sset.subject_ids[sset.groups == "patient"].tolist())):
+                own = sset.subject_ids == subject
                 cases.append((f"improvement_{subject}", f"improvement_{subject}",
-                              table_from_records(own, "session", "squared_jerk", axis),
+                              table_from_records(sset, "session", "squared_jerk", axis, own),
                               ["--patient", subject]))
             written = sorted(p.name for p in (tmp / "from_data").iterdir())
             assert written == sorted(f"{c[0]}.{ext}" for c in cases for ext in ("csv", "json"))

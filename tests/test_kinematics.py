@@ -3,25 +3,45 @@
 import numpy as np
 import pytest
 
+from kinemotion.dataset import Annotation, Recording
 from kinemotion.errors import ContractError, DegenerateInputError, InvalidDataError
 from kinemotion.kinematics import (
     ACCELERATION,
     JERK,
     SNAP,
-    AxisStats,
     Epoch,
     TimeSeries3D,
     differentiate,
     resample,
-    segment_stats,
-    squared_jerk,
     window,
 )
+from kinemotion.smoothness import smoothness_set
 
 
 def series_from_axis(values, fs=50.0, order=ACCELERATION):
     values = np.asarray(values, dtype=float)
     return TimeSeries3D(fs=fs, samples=np.column_stack([values] * 3), order=order)
+
+
+def segment_stats(samples, fs=1.0):
+    """(measure, statistic, axis) jerk and squared-jerk statistics of one
+    key segment spanning ``samples``, as ``smoothness_set`` computes them."""
+    series = TimeSeries3D(fs=fs, samples=samples)
+    rec = Recording("P9", "patient", 1, "dominant", "L1", series,
+                    (Annotation(0, len(series), "M1"),))
+    return smoothness_set([rec]).stats[0]
+
+
+def sequential_stats(values):
+    """Left-to-right sum, max and min of each column, one value at a time."""
+    out = []
+    for column in np.asarray(values).T:
+        total, hi, lo = 0.0, -np.inf, np.inf
+        for value in column:
+            total += value
+            hi, lo = max(hi, value), min(lo, value)
+        out.append((total / len(column), hi, lo))
+    return np.array(out).T
 
 
 class TestContainer:
@@ -56,10 +76,6 @@ class TestContainer:
         with pytest.raises(ValueError):
             sub.samples[0, 0] = 1.0
         assert len(ts) == 10
-
-    def test_axis_stats_ordering_enforced(self):
-        with pytest.raises(ContractError):
-            AxisStats(mean=[2, 0, 0], maximum=[1, 1, 1], minimum=[0, 0, 0])
 
 
 class TestDifferentiate:
@@ -110,89 +126,58 @@ class TestDifferentiate:
 
 
 class TestSquaredJerk:
+    """Squared jerk is computed inside ``smoothness_set``: its statistics."""
+
     def test_zero_jerk_gives_zero(self):
-        jerk = TimeSeries3D(fs=50.0, samples=np.zeros((6, 3)), order=JERK)
-        assert np.all(squared_jerk(jerk).samples == 0.0)
+        assert np.all(segment_stats(np.ones((6, 3)), fs=50.0)[1] == 0.0)
 
     def test_componentwise_square(self):
-        jerk = TimeSeries3D(
-            fs=50.0, samples=np.array([[-2.0, 3.0, 0.5]]), order=JERK
-        )
-        np.testing.assert_array_equal(
-            squared_jerk(jerk).samples, np.array([[4.0, 9.0, 0.25]])
-        )
+        # an acceleration ramp of slope (-2, 3, 0.5) has exactly that jerk
+        ramp = np.arange(3.0)[:, None] * [-2.0, 3.0, 0.5]
+        np.testing.assert_array_equal(segment_stats(ramp)[1], [[4.0, 9.0, 0.25]] * 3)
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(3)
-        jerk = TimeSeries3D(fs=50.0, samples=rng.normal(size=(40, 3)), order=JERK)
-        out = squared_jerk(jerk).samples
-        for n in range(40):
-            for axis in range(3):
-                assert out[n, axis] == jerk.samples[n, axis] ** 2
-
-    def test_wrong_order_tag_rejected(self):
-        accel = TimeSeries3D(fs=50.0, samples=np.ones((6, 3)), order=ACCELERATION)
-        with pytest.raises(ContractError):
-            squared_jerk(accel)
+        samples = rng.normal(size=(40, 3))
+        jerk = differentiate(TimeSeries3D(fs=50.0, samples=samples)).samples
+        squares = [[jerk[n, axis] ** 2 for axis in range(3)] for n in range(40)]
+        np.testing.assert_array_equal(
+            segment_stats(samples, fs=50.0)[1], sequential_stats(squares)
+        )
 
     def test_nonnegative_and_jensen(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            jerk = TimeSeries3D(
-                fs=50.0, samples=rng.normal(size=(64, 3)), order=JERK
-            )
-            sq = squared_jerk(jerk)
-            assert np.all(sq.samples >= 0.0)
-            stats_sq = segment_stats(sq)
-            stats_j = segment_stats(jerk)
-            assert np.all(stats_sq.mean >= stats_j.mean**2 - 1e-15)
+            jerk_stats, sq_stats = segment_stats(rng.normal(size=(64, 3)), fs=50.0)
+            assert np.all(sq_stats >= 0.0)
+            assert np.all(sq_stats[0] >= jerk_stats[0] ** 2 - 1e-15)
 
 
 class TestSegmentStats:
+    """Per-segment jerk statistics, as ``smoothness_set`` computes them."""
+
     def test_constant_series(self):
-        ts = TimeSeries3D(fs=50.0, samples=np.full((10, 3), 5.0))
-        stats = segment_stats(ts)
-        for arr in (stats.mean, stats.maximum, stats.minimum):
-            np.testing.assert_array_equal(arr, [5.0, 5.0, 5.0])
+        ramp = np.arange(10.0)[:, None] * [5.0, 5.0, 5.0]  # jerk 5 everywhere
+        np.testing.assert_array_equal(segment_stats(ramp)[0], np.full((3, 3), 5.0))
 
     def test_hand_computed_values(self):
         samples = np.zeros((3, 3))
-        samples[:, 0] = [-1.0, 0.0, 3.0]
-        ts = TimeSeries3D(fs=50.0, samples=samples)
-        mean, maximum, minimum = segment_stats(ts).along("x")
-        assert mean == pytest.approx(2.0 / 3.0)
-        assert maximum == 3.0
-        assert minimum == -1.0
+        samples[:, 0] = [0.0, -1.0, 2.0]  # jerk x = [-1, 1, 3] at fs 1
+        mean, maximum, minimum = segment_stats(samples)[0, :, 0]
+        assert (mean, maximum, minimum) == (1.0, 3.0, -1.0)
 
     def test_matches_sequential_reference_bitwise(self):
         rng = np.random.default_rng(17)
-        ts = TimeSeries3D(fs=50.0, samples=rng.normal(size=(1000, 3)))
-        stats = segment_stats(ts)
-        for axis in range(3):
-            acc = 0.0
-            hi, lo = -np.inf, np.inf
-            for value in ts.samples[:, axis]:
-                acc += value
-                hi = max(hi, value)
-                lo = min(lo, value)
-            assert stats.mean[axis] == acc / 1000.0
-            assert stats.maximum[axis] == hi
-            assert stats.minimum[axis] == lo
-
-    def test_ordering_invariant(self):
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            ts = TimeSeries3D(
-                fs=50.0, samples=rng.normal(size=(int(rng.integers(1, 200)), 3))
-            )
-            stats = segment_stats(ts)
-            assert np.all(stats.minimum <= stats.mean)
-            assert np.all(stats.mean <= stats.maximum)
+        samples = rng.normal(size=(1000, 3))
+        jerk = differentiate(TimeSeries3D(fs=50.0, samples=samples)).samples
+        np.testing.assert_array_equal(
+            segment_stats(samples, fs=50.0)[0], sequential_stats(jerk)
+        )
 
     def test_empty_series_rejected(self):
-        ts = TimeSeries3D(fs=50.0, samples=np.zeros((0, 3)))
+        # the emptiest segment an annotation can mark has one sample
         with pytest.raises(DegenerateInputError):
-            segment_stats(ts)
+            segment_stats(np.zeros((1, 3)))
 
 
 class TestWindow:

@@ -6,36 +6,56 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinemotion import bundled_table
-from kinemotion.errors import ContractError, DegenerateInputError
-from kinemotion.kinematics import AxisStats, TimeSeries3D, differentiate, segment_stats, squared_jerk
+from kinemotion.dataset import KEY_MOVEMENTS, Annotation, Recording, is_key_movement
+from kinemotion.errors import ContractError, DegenerateInputError, InvalidDataError
+from kinemotion.kinematics import TimeSeries3D, differentiate
 from kinemotion.smoothness import (
     COHORTS,
     EQUAL,
     HEALTHY_HIGHER,
     PATIENT_HIGHER,
     ReferenceTable,
-    SmoothnessRecord,
+    SmoothnessSet,
     compare_cohort_table,
     compare_tables,
     evolution_from_means,
     evolution_from_table,
     load_table,
-    movement_smoothness,
     render_report,
+    smoothness_set,
     table_from_records,
 )
 
 
-def stats_triple(mean, maximum, minimum):
-    return AxisStats(mean=[mean] * 3, maximum=[maximum] * 3, minimum=[minimum] * 3)
-
-
 def record(group="patient", session=1, movement="M1", jerk=(0.0, 1.0, -1.0),
            squared=(1.0, 2.0, 0.0)):
-    return SmoothnessRecord("P9", group, session, movement,
-                            stats_triple(*jerk), stats_triple(*squared))
+    return group, session, movement, jerk, squared
+
+
+def as_set(records):
+    """A SmoothnessSet of subject P9 with one row per record; each (mean,
+    max, min) triple is the same on all three axes."""
+    groups, sessions, movements, jerk, squared = zip(*records)
+    stats = np.array([jerk, squared], dtype=float).transpose(1, 0, 2)
+    return SmoothnessSet(
+        stats=np.repeat(stats[..., None], 3, axis=-1),
+        subject_ids=np.array(["P9"] * len(records)),
+        groups=np.array(groups),
+        sessions=np.array(sessions),
+        movements=np.array(movements),
+    )
+
+
+def one_segment(samples, fs=50.0, label="M1"):
+    """A recording whose single annotation covers all of ``samples``."""
+    samples = np.asarray(samples, dtype=float)
+    return Recording("P9", "patient", 1, "dominant", "L1",
+                     TimeSeries3D(fs=fs, samples=samples),
+                     (Annotation(0, len(samples), label),))
 
 
 def left_to_right_mean(values):
@@ -45,35 +65,92 @@ def left_to_right_mean(values):
     return total / len(values)
 
 
+def reference_stats(recordings):
+    """Per-key-segment statistics the long way, one segment and one measure
+    at a time: differentiate, square, then accumulate, max and min."""
+    rows = []
+    for rec in recordings:
+        for a in rec.annotations:
+            if is_key_movement(a.label):
+                jerk = differentiate(rec.segment(a)).samples
+                rows.append([
+                    [np.add.accumulate(v, axis=0)[-1] / len(v), v.max(axis=0), v.min(axis=0)]
+                    for v in (jerk, jerk**2)
+                ])
+    return np.array(rows).reshape(-1, 2, 3, 3)
+
+
 class TestMovementSmoothness:
     def test_constant_acceleration_gives_zero_everything(self):
-        seg = TimeSeries3D(fs=50.0, samples=np.full((40, 3), 2.5))
-        jerk_stats, sq_stats = movement_smoothness(seg)
-        assert np.all(jerk_stats.mean == 0) and np.all(sq_stats.mean == 0)
-        assert np.all(jerk_stats.maximum == 0) and np.all(sq_stats.maximum == 0)
+        stats = smoothness_set([one_segment(np.full((40, 3), 2.5))]).stats
+        assert stats.shape == (1, 2, 3, 3) and np.all(stats == 0)
 
     def test_linear_ramp_jerk_is_one(self):
         samples = np.zeros((10, 3))
         samples[:, 0] = np.arange(10.0)
-        seg = TimeSeries3D(fs=1.0, samples=samples)
-        jerk_stats, _ = movement_smoothness(seg)
-        mean, maximum, minimum = jerk_stats.along("x")
+        stats = smoothness_set([one_segment(samples, fs=1.0)]).stats
+        mean, maximum, minimum = stats[0, 0, :, 0]  # jerk, all statistics, x
         assert mean == maximum == minimum == 1.0
 
     def test_composition_matches_manual_pipeline(self):
         rng = np.random.default_rng(1)
-        seg = TimeSeries3D(fs=50.0, samples=rng.normal(size=(64, 3)))
-        jerk_stats, sq_stats = movement_smoothness(seg)
-        jerk = differentiate(seg)
-        np.testing.assert_array_equal(jerk_stats.mean, segment_stats(jerk).mean)
-        manual_sq = segment_stats(squared_jerk(jerk))
-        np.testing.assert_array_equal(sq_stats.mean, manual_sq.mean)
-        np.testing.assert_array_equal(sq_stats.maximum, manual_sq.maximum)
+        rec = one_segment(rng.normal(size=(64, 3)))
+        np.testing.assert_array_equal(smoothness_set([rec]).stats, reference_stats([rec]))
 
     def test_too_short_segment_rejected(self):
-        seg = TimeSeries3D(fs=50.0, samples=np.zeros((2, 3)))
-        with pytest.raises(DegenerateInputError):
-            movement_smoothness(seg)
+        with pytest.raises(DegenerateInputError, match="too short for jerk computation: 2"):
+            smoothness_set([one_segment(np.zeros((2, 3)))])
+
+
+# key-segment samples: signed zeros and small integers, so that ties and
+# -0.0 jerk occur, and finite floats too small to overflow jerk statistics
+_KEY_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.integers(-3, 3).map(float), st.floats(-1e100, 1e100)
+)
+# distractor and unannotated samples: overflow a central difference taken
+# across a segment boundary
+_EXTREME_VALUES = st.sampled_from([1.7e308, -1.7e308, -0.0, 1e300])
+
+
+@st.composite
+def annotated_recordings(draw):
+    """One to three recordings laid out as runs of 3- to 9-sample pieces:
+    key segments (adjacent or not, at either end), distractors and gaps."""
+    recordings = []
+    for k in range(draw(st.integers(1, 3), label="recordings")):
+        fs = draw(st.sampled_from([1.0, 0.3, 50.0, 100.0]), label="fs")
+        pieces = draw(st.lists(
+            st.tuples(st.sampled_from(KEY_MOVEMENTS + ("R3", "R17", None)), st.integers(3, 9)),
+            min_size=1, max_size=6,
+        ), label="pieces")
+        chunks, annotations, cursor = [], [], 0
+        for label, n in pieces:
+            values = _KEY_VALUES if label in KEY_MOVEMENTS else _EXTREME_VALUES
+            chunks.append(draw(st.lists(values, min_size=3 * n, max_size=3 * n)))
+            if label is not None:
+                annotations.append(Annotation(cursor, cursor + n, label))
+            cursor += n
+        group, session = draw(st.sampled_from([("healthy", 1), ("patient", 1), ("patient", 3)]))
+        series = TimeSeries3D(fs=fs, samples=np.reshape(sum(chunks, []), (cursor, 3)))
+        recordings.append(Recording(f"S{k}", group, session, "dominant", "L1", series,
+                                    tuple(annotations)))
+    return recordings
+
+
+class TestSmoothnessSet:
+    @settings(max_examples=200, deadline=None)
+    @given(recordings=annotated_recordings())
+    def test_rows_equal_the_per_segment_reference_bit_for_bit(self, recordings):
+        keys = [(r, a) for r in recordings for a in r.annotations if is_key_movement(a.label)]
+        got = smoothness_set(recordings)
+        want = reference_stats(recordings)
+        # the same bytes, so -0.0 and 0.0 differ
+        assert got.stats.tobytes() == want.tobytes()
+        assert np.all(got.stats[:, 1] >= 0)  # squared jerk is never negative
+        assert got.subject_ids.tolist() == [r.subject_id for r, _ in keys]
+        assert got.groups.tolist() == [r.group for r, _ in keys]
+        assert got.sessions.tolist() == [r.session for r, _ in keys]
+        assert got.movements.tolist() == [a.label for _, a in keys]
 
 
 class TestAggregation:
@@ -82,7 +159,7 @@ class TestAggregation:
             record("healthy", jerk=(1.0, 10.0, -5.0)),
             record("healthy", jerk=(3.0, 4.0, -9.0)),
         ]
-        table = table_from_records(records, "cohort", "jerk")
+        table = table_from_records(as_set(records), "cohort", "jerk")
         assert table.kind == "cohort" and table.columns == COHORTS
         assert table.cell("M1", "mean", "healthy") == 2.0
         assert table.cell("M1", "max", "healthy") == 10.0
@@ -93,8 +170,9 @@ class TestAggregation:
         # one large mean and eight ones: added in order each +1 rounds
         # away, while numpy's 1-D pairwise sum adds the ones first
         means = [2.0**53] + [1.0] * 8
-        session = [record(session=1, squared=(m, m, 0.0)) for m in means]
-        cohort = [record(group, squared=(m, m, 0.0)) for group in COHORTS for m in means]
+        session = as_set([record(session=1, squared=(m, m, 0.0)) for m in means])
+        cohort = as_set([record(group, squared=(m, m, 0.0))
+                         for group in COHORTS for m in means])
         expected = left_to_right_mean(means)
         assert table_from_records(session, "session", "squared_jerk").cell(
             "M1", "mean", 1) == expected
@@ -102,13 +180,35 @@ class TestAggregation:
         for group in COHORTS:
             assert table.cell("M1", "mean", group) == expected
 
+    def test_equal_extremes_keep_the_first_segments_signed_zero(self):
+        # report bytes differ ("-0" against "0"); numpy's max and min may
+        # pick either zero
+        for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+            sset = as_set([record(jerk=(0.0, z, z)) for z in (first, second)])
+            table = table_from_records(sset, "session", "jerk")
+            for statistic in ("max", "min"):
+                assert np.signbit(table.cell("M1", statistic, 1)) == np.signbit(first)
+
     def test_axis_picks_the_column(self):
-        rec = SmoothnessRecord(
-            "P9", "patient", 1, "M1", stats_triple(0.0, 1.0, -1.0),
-            AxisStats(mean=[1.0, 2.0, 3.0], maximum=[4.0, 5.0, 6.0], minimum=[0.0] * 3),
-        )
-        table = table_from_records([rec], "session", "squared_jerk", axis="y")
+        sset = as_set([record()])
+        sset.stats[0, 1] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.0] * 3]
+        table = table_from_records(sset, "session", "squared_jerk", axis="y")
         assert [table.cell("M1", s, 1) for s in ("mean", "max", "min")] == [2.0, 5.0, 0.0]
+
+    def test_rows_pick_the_segments_pooled(self):
+        sset = as_set([record(session=s, squared=(m, m, 0.0))
+                       for s, m in ((1, 4.0), (2, 8.0), (1, 6.0))])
+        table = table_from_records(sset, "session", "squared_jerk",
+                                   rows=np.array([False, True, True]))
+        assert table.columns == (1, 2)
+        assert table.cell("M1", "mean", 1) == 6.0 and table.cell("M1", "mean", 2) == 8.0
+
+    def test_overflowing_pooled_mean_names_movement_and_column(self):
+        # tests/test_cli.py checks a session column through assess --data
+        sset = as_set([record(movement="M2", squared=(1e308, 1e308, 0.0))] * 2)
+        with pytest.raises(InvalidDataError,
+                           match="^pooled squared_jerk mean of M2 patient overflows"):
+            table_from_records(sset, "cohort", "squared_jerk")
 
 
 class TestCohortCompare:
@@ -118,7 +218,7 @@ class TestCohortCompare:
             for group in COHORTS
             for m in ("M1", "M2", "M3", "M4")
         ]
-        comparison = compare_cohort_table(table_from_records(records, "cohort", "jerk"))
+        comparison = compare_cohort_table(table_from_records(as_set(records), "cohort", "jerk"))
         for (movement, statistic), cell in comparison.cells.items():
             assert cell.direction == EQUAL
             assert cell.ratio == 1.0
@@ -143,7 +243,7 @@ class TestCohortCompare:
         # a table built from records is ragged where one cohort lacks a movement
         records = [record("healthy", movement=m) for m in ("M1", "M2", "M3", "M4")]
         records += [record("patient", movement=m) for m in ("M1", "M2", "M3")]
-        table = table_from_records(records, "cohort", "jerk")
+        table = table_from_records(as_set(records), "cohort", "jerk")
         with pytest.raises(ContractError, match="movement M4 missing from a cohort"):
             compare_cohort_table(table)
 
@@ -210,7 +310,7 @@ class TestSessionEvolution:
             record(session=session, squared=(mean, mean * 10, 0.0))
             for session, mean in ((1, 4.0), (1, 6.0), (2, 2.0), (3, 9.0))
         ]
-        flags = evolution_from_table(table_from_records(records, "session", "squared_jerk"))
+        flags = evolution_from_table(table_from_records(as_set(records), "session", "squared_jerk"))
         assert flags.movements["M1"].baseline == 5.0  # mean of 4 and 6
         assert flags.improved("M1") == frozenset({2})
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from kinemotion.dataset import KEY_MOVEMENTS, parse_recording
+from kinemotion.dataset import KEY_MOVEMENTS, Annotation, Recording, parse_recording
 from kinemotion.errors import ContractError
-from kinemotion.kinematics import differentiate, segment_stats, squared_jerk
-from kinemotion.smoothness import movement_smoothness
+from kinemotion.kinematics import differentiate
+from kinemotion.smoothness import smoothness_set
 from kinemotion.synth import (
     CLASS_SIGNATURES,
     SynthProfile,
@@ -41,8 +41,10 @@ def analytic_jerk_axis(profile, axis):
 
 
 def mean_squared_jerk_x(series):
-    jerk = differentiate(series)
-    return segment_stats(squared_jerk(jerk)).mean[0]
+    """Mean squared jerk on x of one generated segment, by ``smoothness_set``."""
+    rec = Recording("P1", "patient", 1, "dominant", "L1", series,
+                    (Annotation(0, len(series), "M1"),))
+    return smoothness_set([rec]).stats[0, 1, 0, 0]
 
 
 class TestQuinticStroke:
@@ -247,7 +249,7 @@ class TestGenDataset:
         assert {r.session for r in patients} <= {1, 2, 3, 4}
 
     def test_smoothness_pipeline_runs_on_generated_segments(self):
-        rec = gen_dataset(n_per_class=1, seed=2)[0]
-        for ann in rec.annotations:
-            jerk_stats, sq_stats = movement_smoothness(rec.segment(ann))
-            assert np.all(sq_stats.mean >= 0.0)
+        recs = gen_dataset(n_per_class=1, seed=2)
+        sset = smoothness_set(recs)
+        assert len(sset.movements) == sum(len(r.annotations) for r in recs)
+        assert np.all(np.isfinite(sset.stats)) and np.all(sset.stats[:, 1] >= 0.0)
