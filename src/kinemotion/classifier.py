@@ -91,41 +91,30 @@ class ModelConfig:
         )
 
 
-def feature_length(cfg: ModelConfig, input_len=None) -> int:
-    """Sequence length surviving the conv/pool stack (may be < 1 = invalid)."""
-    length = cfg.input_len if input_len is None else input_len
-    for i in range(4):
-        length = (length - cfg.conv_kernels[i]) // cfg.conv_strides[i] + 1
-        if i == 0:
-            length = (length - cfg.pool_kernels[0]) // cfg.pool_strides[0] + 1
-        if length < 1:
-            return length
-    return (length - cfg.pool_kernels[1]) // cfg.pool_strides[1] + 1
-
-
-def min_input_length(cfg: ModelConfig) -> int:
-    """Smallest input length the conv/pool stack accepts."""
-    w = 1
-    while feature_length(cfg, w) < 1:
-        w += 1
-        if w > 1 << 20:
-            raise ConfigError("conv stack never yields a non-empty sequence")
-    return w
+def _fold(pairs):
+    """Receptive field and total stride of valid (kernel, stride) windows in
+    order: output t reads samples [t * stride, t * stride + span) only, so
+    L >= span samples yield (L - span) // stride + 1 outputs."""
+    span, total = 1, 1
+    for kernel, stride in pairs:
+        span, total = span + (kernel - 1) * total, total * stride
+    return span, total
 
 
 def build_model(cfg: ModelConfig, seed: int) -> Network:
     """Initialize the full network; deterministic in the seed."""
-    if feature_length(cfg) < 1:
-        raise ConfigError(
-            f"input_len {cfg.input_len} is too short for the conv stack; "
-            f"minimum is {min_input_length(cfg)}"
-        )
-    rng = np.random.default_rng(seed)
     ch, ks, ss = cfg.conv_channels, cfg.conv_kernels, cfg.conv_strides
+    pk, ps = cfg.pool_kernels, cfg.pool_strides
+    span, _ = _fold([(ks[0], ss[0]), (pk[0], ps[0]), *zip(ks[1:], ss[1:]),
+                     (pk[1], ps[1])])
+    if cfg.input_len < span:
+        raise ConfigError(f"input_len {cfg.input_len} is too short for the conv stack; "
+                          f"minimum is {span}")
+    rng = np.random.default_rng(seed)
     layers = [
         Conv1D(len(AXES), ch[0], ks[0], ss[0], rng=rng),
         ReLU(),
-        MaxPool1D(cfg.pool_kernels[0], cfg.pool_strides[0]),
+        MaxPool1D(pk[0], ps[0]),
         Dropout(cfg.dropout),
         Conv1D(ch[0], ch[1], ks[1], ss[1], rng=rng),
         ReLU(),
@@ -133,7 +122,7 @@ def build_model(cfg: ModelConfig, seed: int) -> Network:
         ReLU(),
         Conv1D(ch[2], ch[3], ks[3], ss[3], rng=rng),
         ReLU(),
-        MaxPool1D(cfg.pool_kernels[1], cfg.pool_strides[1]),
+        MaxPool1D(pk[1], ps[1]),
         Dropout(cfg.dropout),
         LSTM(ch[3], cfg.lstm_hidden, rng=rng),
         Dropout(cfg.dropout),
@@ -228,33 +217,36 @@ _SLIDING = (Conv1D, ReLU, MaxPool1D, Dropout)
 
 
 def _front_end(net: Network):
-    """The sliding front end of ``net``: its depth, receptive field and stride.
-
-    The front end is the longest layer prefix of convolutions, ReLUs,
-    max-pools and dropouts (the identity in eval mode).  Feature t of its
-    pass over a signal x depends on ``x[t * stride : t * stride + span]``
-    only, and a pass over L >= span samples yields (L - span) // stride + 1
-    features.
-    """
-    span, stride = 1, 1
-    for depth, layer in enumerate(net.layers):
-        if not isinstance(layer, _SLIDING):
-            return depth, span, stride
-        if isinstance(layer, (Conv1D, MaxPool1D)):
-            span += (layer.kernel - 1) * stride
-            stride *= layer.stride
-    return len(net.layers), span, stride
+    """Depth, receptive field and stride of the front end of ``net``: its
+    longest layer prefix of convolutions, ReLUs, max-pools and dropouts
+    (the identity in eval mode)."""
+    depth = 0
+    while depth < len(net.layers) and isinstance(net.layers[depth], _SLIDING):
+        depth += 1
+    windows = [l for l in net.layers[:depth] if isinstance(l, (Conv1D, MaxPool1D))]
+    return (depth, *_fold((l.kernel, l.stride) for l in windows))
 
 
-def _conv_macs(layers, length: int) -> int:
-    """Multiply-adds of the convolutions in ``layers`` on ``length`` input samples."""
-    macs = 0
-    for layer in layers:
-        if isinstance(layer, (Conv1D, MaxPool1D)):
-            length = layer.out_length(length)
-        if isinstance(layer, Conv1D):
-            macs += layer.in_channels * layer.out_channels * layer.kernel * length
-    return macs
+def check_network(net: Network) -> None:
+    """ContractError unless ``net`` maps one (3, input_len) epoch to the
+    N_CLASSES scores: a checkpoint's window and layers need not fit."""
+    if net.input_len is None:
+        raise ContractError("the network declares no input window")
+    epoch, span = (len(AXES), net.input_len), _front_end(net)[1]
+    if epoch[1] < span:
+        raise ContractError(f"model window {epoch[1]} is shorter than the receptive "
+                            f"field {span} of the convolutional front end")
+    scores = ([epoch] + net.shapes(epoch))[-1]
+    if scores != (N_CLASSES,):
+        raise ContractError(f"the network maps a {epoch} epoch to {scores}, not "
+                            f"{N_CLASSES} class scores")
+
+
+def _conv_macs(front: Network, length: int) -> int:
+    """Multiply-adds of the convolutions of ``front`` on ``length`` input samples."""
+    return sum(layer.in_channels * math.prod(shape) * layer.kernel
+               for layer, shape in zip(front.layers, front.shapes((len(AXES), length)))
+               if isinstance(layer, Conv1D))
 
 
 def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarray:
@@ -290,29 +282,23 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
     projected block by block, only one phase's projections are kept, and
     windows go through the recurrence EVAL_CHUNK at a time.
     """
+    check_network(net)
     window = net.input_len
-    if window is None:
-        raise ContractError("the network declares no input window")
     offsets = np.array(window_offsets(len(series), window, stride), dtype=np.int64)
     depth, span, total = _front_end(net)
     steps = (window - span) // total + 1  # front-end features per window
-    if steps < 1:
-        raise ContractError(
-            f"model window {window} is shorter than the receptive field {span} "
-            "of the convolutional front end"
-        )
     front = Network(net.layers[:depth])
-    lstm = net.layers[depth] if depth < len(net.layers) else None
+    lstm = net.layers[depth]  # check_network: the front end is not the whole stack
     signal = series.samples.T  # (3, n)
     phases = offsets % total
     groups = [np.flatnonzero(phases == p) for p in np.flatnonzero(np.bincount(phases))]
     reach = (steps - 1) * total + span  # samples one window's features depend on
     passes = [offsets[rows[-1]] - offsets[rows[0]] + reach for rows in groups]
-    shared = sum(_conv_macs(front.layers, n) for n in passes)
+    shared = sum(_conv_macs(front, n) for n in passes)
     # the passes must save a fifth: a margin for what the count leaves out
     # (block overlaps, the projection gather, one recurrence per chunk)
     if not isinstance(lstm, LSTM) or (
-        5 * shared > 4 * len(offsets) * _conv_macs(front.layers, window)
+        5 * shared > 4 * len(offsets) * _conv_macs(front, window)
     ):
         windows = sliding_window_view(signal, window, axis=1)  # (3, n - W + 1, W)
         return predict_proba(net, windows.transpose(1, 0, 2), offsets)
@@ -324,17 +310,12 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
         phase = offsets[rows[0]] % total
         starts = (offsets[rows] - phase) // total
         n_feats = int(starts[-1]) + steps
-        xw = None  # xw[s]: the LSTM input projection of feature s, (n_feats, 4H)
+        # xw[s]: the LSTM input projection of feature s
+        xw = np.empty((n_feats, 4 * lstm.hidden_size))
         for first in range(int(starts[0]), n_feats, per_block):
             count = min(per_block, n_feats - first)
             lo = phase + first * total
             out = front.forward(signal[None, :, lo : lo + (count - 1) * total + span])
-            if xw is None:
-                if out.shape[1] != lstm.input_size:
-                    raise ContractError(
-                        f"{lstm!r}: the front end yields {out.shape[1]} features"
-                    )
-                xw = np.empty((n_feats, 4 * lstm.hidden_size))
             xw[first : first + count] = out[0].T @ lstm.params["wx"] + lstm.params["b"]
         for at in range(0, len(rows), EVAL_CHUNK):
             gates = xw[time + starts[at : at + EVAL_CHUNK]]  # (T, B, 4H)

@@ -22,6 +22,7 @@ from .classifier import (
     TrainConfig,
     TrainLog,
     build_model,
+    check_network,
     evaluate,
     predict_proba,
     predict_windows,
@@ -39,7 +40,7 @@ from .dataset import (
     read_key_values,
     split_train_test,
 )
-from .errors import ConfigError, KinemotionError
+from .errors import ConfigError, ContractError, InvalidDataError, KinemotionError
 from .kinematics import window_offsets
 from .nn import load_checkpoint, save_checkpoint
 from .smoothness import (
@@ -100,23 +101,39 @@ def _resolve_configs(args):
     return ModelConfig(**model_kw), TrainConfig(**train_kw)
 
 
-# train refuses a window over this many times the longest key-movement
-# segment: a longer one adds only interpolated points, while the epoch
-# array (N x 3 x W float64) grows with it
+# epochs are never resampled to a window over this many times the longest
+# key-movement segment: a longer one adds only interpolated points, while
+# the epoch array (N x 3 x W float64) grows with it
 MAX_WINDOW_PER_SEGMENT = 4
 
 
-def _load_epochs(data_dir, input_len, bounded=False):
-    recordings = load_dataset_dir(data_dir)
+def _epochs(recordings, input_len, where):
+    """``extract_epochs``, refused before it allocates a row of a window over
+    the bound; recordings with no usable key segment give no rows."""
     longest = max((a.end - a.start for r in recordings for a in r.annotations
                    if is_key_movement(a.label)), default=0)
-    if longest < 2:
-        raise ConfigError(f"no labelled segments found under {data_dir}")
-    if bounded and input_len > MAX_WINDOW_PER_SEGMENT * longest:
+    if longest >= 2 and input_len > MAX_WINDOW_PER_SEGMENT * longest:
         raise ConfigError(f"window {input_len} exceeds {MAX_WINDOW_PER_SEGMENT} x the "
-                          f"longest key-movement segment ({longest} samples) under "
-                          f"{data_dir}")
+                          f"longest key-movement segment ({longest} samples) {where}")
     return extract_epochs(recordings, input_len)
+
+
+def _load_epochs(data_dir, input_len):
+    data = _epochs(load_dataset_dir(data_dir), input_len, f"under {data_dir}")
+    if not len(data.labels):
+        raise ConfigError(f"no labelled segments found under {data_dir}")
+    return data
+
+
+def _load_net(path):
+    """A checkpoint's network, refused (naming the file) before any recording
+    is read unless it maps its window to the class scores."""
+    net = load_checkpoint(path).net
+    try:
+        check_network(net)
+    except ContractError as exc:
+        raise InvalidDataError(f"{path}: {exc}") from None
+    return net
 
 
 def _split(data, args):
@@ -156,7 +173,7 @@ def _cmd_synth(args):
 
 def _cmd_train(args):
     model_cfg, train_cfg = _resolve_configs(args)
-    data = _load_epochs(args.data, model_cfg.input_len, bounded=True)
+    data = _load_epochs(args.data, model_cfg.input_len)
     train_rows, test_rows = _split(data, args)
     net = build_model(model_cfg, seed=train_cfg.seed)
     log = train(net, data.x, data.labels, train_rows, test_rows, train_cfg)
@@ -175,10 +192,10 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    ckpt = load_checkpoint(args.checkpoint)
-    data = _load_epochs(args.data, ckpt.net.input_len)
+    net = _load_net(args.checkpoint)
+    data = _load_epochs(args.data, net.input_len)
     _, test_rows = _split(data, args)
-    result = evaluate(ckpt.net, data.x, data.labels, test_rows)
+    result = evaluate(net, data.x, data.labels, test_rows)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log = TrainLog(confusion=result.confusion)
@@ -188,17 +205,17 @@ def _cmd_eval(args):
 
 
 def _cmd_classify(args):
-    ckpt = load_checkpoint(args.checkpoint)
-    input_len = ckpt.net.input_len
+    net = _load_net(args.checkpoint)
+    input_len = net.input_len
     rec = parse_recording(args.recording)
 
     if args.mode == "segments":
-        data = extract_epochs([rec], input_len)
+        data = _epochs([rec], input_len, f"in {args.recording}")
         labels = [KEY_MOVEMENTS[k] for k in data.labels]
         spans = list(zip(data.starts.tolist(), data.ends.tolist(), labels))
-        probs = predict_proba(ckpt.net, data.x)
+        probs = predict_proba(net, data.x)
     else:
-        probs = predict_windows(ckpt.net, rec.series, args.stride)
+        probs = predict_windows(net, rec.series, args.stride)
         offsets = window_offsets(len(rec.series), input_len, args.stride)
         spans = [(o, o + input_len, "") for o in offsets]
 

@@ -13,6 +13,9 @@ Conventions
   filling ``self.grads`` (same keys/shapes as ``self.params``), summed
   over the batch.  The loss divides by B, so the sum is the gradient
   of the batch-mean loss.
+* ``out_shape(shape)`` maps one example's input shape to its output
+  shape (no batch axis) or raises ContractError naming the layer: the
+  one shape rule, which ``forward`` enforces and ``Network.shapes`` walks.
 """
 
 from __future__ import annotations
@@ -44,21 +47,43 @@ class Layer:
     def spec(self) -> dict:
         raise NotImplementedError
 
-    def _shape_error(self, got, expected):
-        raise ContractError(f"{self!r}: expected input shape {expected}, got {got}")
+    def out_shape(self, shape: tuple) -> tuple:
+        """Output shape of one example of input ``shape``; kept by default."""
+        return shape
+
+    def _refuse(self, shape, expected):
+        raise ContractError(f"{self!r}: expected input shape {expected}, got {shape}")
 
 
-class Conv1D(Layer):
+class _Window(Layer):
+    """A valid (unpadded) window of ``kernel`` samples, ``stride`` apart."""
+
+    def __init__(self, kernel, stride):
+        super().__init__()
+        if kernel < 1 or stride < 1:
+            raise ContractError(f"{type(self).__name__} kernel and stride must be >= 1")
+        self.kernel = kernel
+        self.stride = stride
+
+    def _length(self, length):  # window positions within length samples
+        if length < self.kernel:
+            raise ContractError(f"{self!r}: input length {length} shorter than kernel")
+        return (length - self.kernel) // self.stride + 1
+
+    def _tap(self, x, j, l_out):
+        """x[b, c, t*stride + j] for t < l_out: window position j, as a view."""
+        return x[:, :, j : j + l_out * self.stride : self.stride]
+
+
+class Conv1D(_Window):
     """Valid (no padding) 1-D convolution over (B, channels, length) input."""
 
     def __init__(self, in_channels, out_channels, kernel, stride=1, rng=None):
-        super().__init__()
-        if min(in_channels, out_channels, kernel, stride) < 1:
-            raise ContractError("conv dimensions and stride must be >= 1")
+        super().__init__(kernel, stride)
+        if min(in_channels, out_channels) < 1:
+            raise ContractError("conv channels must be >= 1")
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernel = kernel
-        self.stride = stride
         rng = rng or np.random.default_rng(0)
         fan_in = in_channels * kernel
         self.params = {
@@ -72,22 +97,17 @@ class Conv1D(Layer):
             f"k={self.kernel}, s={self.stride})"
         )
 
-    def out_length(self, length):
-        return (length - self.kernel) // self.stride + 1
+    def out_shape(self, shape):
+        if len(shape) != 2 or shape[0] != self.in_channels:
+            self._refuse(shape, f"({self.in_channels}, L)")
+        return (self.out_channels, self._length(shape[1]))
 
     def forward(self, x, train=False, rng=None):
-        if x.ndim != 3 or x.shape[1] != self.in_channels:
-            self._shape_error(x.shape, f"(B, {self.in_channels}, L)")
-        length = x.shape[2]
-        l_out = self.out_length(length)
-        if l_out < 1:
-            raise ContractError(
-                f"{self!r}: input length {length} shorter than kernel {self.kernel}"
-            )
+        l_out = self.out_shape(x.shape[1:])[1]
         # cols[b, c*K + j, t] = x[b, c, t*stride + j], one strided copy per tap
         cols = np.empty((x.shape[0], self.in_channels, self.kernel, l_out))
         for j in range(self.kernel):
-            cols[:, :, j, :] = x[:, :, j : j + l_out * self.stride : self.stride]
+            cols[:, :, j, :] = self._tap(x, j, l_out)
         cols = cols.reshape(x.shape[0], -1, l_out)
         w = self.params["w"].reshape(self.out_channels, -1)
         self._cache = (cols, x.shape)
@@ -111,7 +131,7 @@ class Conv1D(Layer):
         )
         dx = np.zeros(in_shape)
         for j in range(self.kernel):
-            dx[:, :, j : j + l_out * self.stride : self.stride] += dcols[:, :, j, :]
+            self._tap(dx, j, l_out)[...] += dcols[:, :, j, :]
         return dx
 
     def spec(self):
@@ -140,34 +160,19 @@ class ReLU(Layer):
         return {"kind": "relu"}
 
 
-class MaxPool1D(Layer):
+class MaxPool1D(_Window):
     """Max pooling over the length axis; ties go to the earliest index."""
-
-    def __init__(self, kernel, stride):
-        super().__init__()
-        if kernel < 1 or stride < 1:
-            raise ContractError("pool kernel and stride must be >= 1")
-        self.kernel = kernel
-        self.stride = stride
 
     def __repr__(self):
         return f"MaxPool1D(k={self.kernel}, s={self.stride})"
 
-    def out_length(self, length):
-        return (length - self.kernel) // self.stride + 1
-
-    def _tap(self, x, j, l_out):
-        """x[b, c, t*stride + j] for t < l_out: window position j, as a view."""
-        return x[:, :, j : j + l_out * self.stride : self.stride]
+    def out_shape(self, shape):
+        if len(shape) != 2:
+            self._refuse(shape, "(C, L)")
+        return (shape[0], self._length(shape[1]))
 
     def forward(self, x, train=False, rng=None):
-        if x.ndim != 3:
-            self._shape_error(x.shape, "(B, C, L)")
-        l_out = self.out_length(x.shape[2])
-        if l_out < 1:
-            raise ContractError(
-                f"{self!r}: input length {x.shape[2]} shorter than kernel"
-            )
+        l_out = self.out_shape(x.shape[1:])[1]
         out = self._tap(x, 0, l_out)
         for j in range(1, self.kernel):
             out = np.maximum(out, self._tap(x, j, l_out))
@@ -261,11 +266,13 @@ class LSTM(Layer):
     def __repr__(self):
         return f"LSTM({self.input_size}->{self.hidden_size})"
 
+    def out_shape(self, shape):
+        if len(shape) != 2 or shape[0] != self.input_size or shape[1] < 1:
+            self._refuse(shape, f"({self.input_size}, T >= 1)")
+        return (self.hidden_size,)
+
     def forward(self, x, train=False, rng=None):
-        if x.ndim != 3 or x.shape[1] != self.input_size:
-            self._shape_error(x.shape, f"(B, {self.input_size}, T)")
-        if x.shape[2] == 0:
-            raise ContractError(f"{self!r}: empty input sequence")
+        self.out_shape(x.shape[1:])
         batch, _, n_steps = x.shape
         # time-major inputs: xs[t] is the (B, in) slice of timestep t
         xs = np.ascontiguousarray(x.transpose(2, 0, 1)).reshape(n_steps * batch, -1)
@@ -361,9 +368,13 @@ class Dense(Layer):
     def __repr__(self):
         return f"Dense({self.in_features}->{self.out_features})"
 
+    def out_shape(self, shape):
+        if not shape or np.prod(shape) != self.in_features:
+            self._refuse(shape, f"({self.in_features},)")
+        return (self.out_features,)
+
     def forward(self, x, train=False, rng=None):
-        if x.ndim < 2 or int(np.prod(x.shape[1:])) != self.in_features:
-            self._shape_error(x.shape, f"(B, {self.in_features})")
+        self.out_shape(x.shape[1:])
         flat = x.reshape(x.shape[0], self.in_features)
         self._cache = (flat, x.shape)
         return flat @ self.params["w"] + self.params["b"]
@@ -490,3 +501,10 @@ class Network:
 
     def specs(self) -> list[dict]:
         return [layer.spec() for layer in self.layers]
+
+    def shapes(self, input_shape) -> list[tuple]:
+        """Each layer's per-example output shape, by the layers' ``out_shape``."""
+        shapes = [tuple(input_shape)]
+        for layer in self.layers:
+            shapes.append(layer.out_shape(shapes[-1]))
+        return shapes[1:]

@@ -1,5 +1,7 @@
 """Architecture assembly, training-loop contracts, evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,16 +13,15 @@ from kinemotion.classifier import (
     ModelConfig,
     TrainConfig,
     build_model,
+    check_network,
     evaluate,
-    feature_length,
-    min_input_length,
     predict,
     predict_proba,
     predict_windows,
     train,
 )
 from kinemotion.dataset import KEY_MOVEMENTS
-from kinemotion.errors import ConfigError
+from kinemotion.errors import ConfigError, ContractError
 from kinemotion.kinematics import Epoch, TimeSeries3D, window
 from kinemotion.nn import (
     LSTM,
@@ -32,6 +33,30 @@ from kinemotion.nn import (
     ReLU,
     softmax_cross_entropy,
 )
+
+
+def reference_feature_length(cfg, input_len):
+    """Sequence length surviving the conv/pool stack, layer by layer (< 1: none)."""
+    length = input_len
+    for i in range(4):
+        length = (length - cfg.conv_kernels[i]) // cfg.conv_strides[i] + 1
+        if i == 0:
+            length = (length - cfg.pool_kernels[0]) // cfg.pool_strides[0] + 1
+        if length < 1:
+            return length
+    return (length - cfg.pool_kernels[1]) // cfg.pool_strides[1] + 1
+
+
+def reference_min_input_length(cfg):
+    """Smallest input length the conv/pool stack accepts, by linear search."""
+    w = 1
+    while reference_feature_length(cfg, w) < 1:
+        w += 1
+    return w
+
+
+def receptive_field(net):
+    return classifier._front_end(net)[1]
 
 
 def make_set(n_per_class, w, seed=0):
@@ -79,22 +104,34 @@ class TestModelConfig:
 
     def test_feature_length_recurrence(self):
         # track floor((L - k) / s) + 1 through conv and pool blocks
-        cfg = ModelConfig()
+        net = build_model(ModelConfig(), seed=0)
         length = 128
         expected = length
         plan = [(8, 2), (4, 4), (4, 1), (4, 1), (4, 1), (2, 2)]
         for k, s in plan:
             expected = (expected - k) // s + 1
-        assert feature_length(cfg) == expected
+        shapes = net.shapes((3, 128))
+        assert shapes[11] == (64, expected)
         assert expected == 3
+        # the 3-step LSTM, then dropout and the 4-class head
+        assert shapes[-4:] == [(64, 3), (64,), (64,), (4,)]
 
     def test_too_small_window_reports_minimum(self):
         with pytest.raises(ConfigError) as err:
             build_model(ModelConfig(input_len=8), seed=0)
-        minimum = min_input_length(ModelConfig(input_len=8))
+        net = build_model(ModelConfig(), seed=0)
+        minimum = receptive_field(net)
+        assert minimum == 94
         assert str(minimum) in str(err.value)
-        assert feature_length(ModelConfig(input_len=minimum), minimum) >= 1
-        assert feature_length(ModelConfig(input_len=8), minimum - 1) < 1
+        assert net.shapes((3, minimum))[-1] == (4,)
+        with pytest.raises(ContractError):
+            net.shapes((3, minimum - 1))
+
+    def test_huge_kernel_minimum_without_a_search(self):
+        # the minimum is the receptive field, folded from the config's
+        # (kernel, stride) pairs before any weight is allocated
+        with pytest.raises(ConfigError, match="minimum is 2000086$"):
+            build_model(ModelConfig(conv_kernels=(2_000_000, 4, 4, 4)), 0)
 
     def test_same_seed_same_parameters(self):
         a = build_model(ModelConfig(), seed=5).parameters()
@@ -108,10 +145,51 @@ class TestModelConfig:
             ModelConfig(conv_channels=(8, 8, 8, 8, 8))
 
     def test_toy_variant_fits_64(self):
-        cfg = ModelConfig.toy()
-        assert feature_length(cfg) >= 1
-        net = build_model(cfg, seed=0)
+        net = build_model(ModelConfig.toy(), seed=0)
+        check_network(net)
+        assert net.shapes((3, 64))[-1] == (4,)
         assert net.forward(np.zeros((1, 3, 64))).shape == (1, 4)
+
+
+@st.composite
+def model_configs(draw):
+    """Small random stacks: kernels 1-9, strides 1-4, pools 1-5, widths 1-4."""
+    def ints(lo, hi, n):
+        return tuple(draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)))
+
+    return ModelConfig(
+        conv_channels=ints(1, 4, 4),
+        conv_kernels=ints(1, 9, 4),
+        conv_strides=ints(1, 4, 4),
+        pool_kernels=ints(1, 5, 2),
+        pool_strides=ints(1, 5, 2),
+        lstm_hidden=draw(st.integers(1, 4)),
+    )
+
+
+class TestShapeWalk:
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=model_configs())
+    def test_walk_matches_forward_and_fold_matches_linear_search(self, cfg):
+        minimum = reference_min_input_length(cfg)
+        if minimum > 1:
+            with pytest.raises(ConfigError, match=f"minimum is {minimum}$"):
+                build_model(dataclasses.replace(cfg, input_len=minimum - 1), seed=0)
+        net = build_model(dataclasses.replace(cfg, input_len=minimum), seed=0)
+        depth, span, stride = classifier._front_end(net)
+        assert (depth, span) == (12, minimum)
+        with pytest.raises(ContractError):
+            net.shapes((3, span - 1))
+        for w in range(span, span + 51):
+            shapes = net.shapes((3, w))
+            out, seen = np.zeros((1, 3, w)), []
+            for layer in net.layers:
+                out = layer.forward(out)
+                seen.append(out.shape[1:])
+            assert shapes == seen
+            features = reference_feature_length(cfg, w)
+            assert shapes[depth - 1] == (cfg.conv_channels[3], features)
+            assert features == (w - span) // stride + 1
 
 
 class TestPredictEvaluate:
@@ -231,8 +309,8 @@ class TestPredictWindows:
     @given(data=st.data())
     def test_rows_match_per_window_predict_proba(self, stack, data):
         make = STACKS[stack]
-        w = data.draw(st.integers(min_input_length(make(input_len=300)), 300),
-                      label="window")
+        span = receptive_field(build_model(make(input_len=300), seed=0))
+        w = data.draw(st.integers(span, 300), label="window")
         stride = data.draw(st.integers(1, 40) | st.integers(w + 1, w + 40),
                            label="stride")
         rows = data.draw(st.integers(max(1, w - 8), w + 400), label="rows")
@@ -299,8 +377,6 @@ class TestPredictWindows:
 
     @pytest.mark.parametrize("stride", [8, 999])  # phase passes, whole windows
     def test_lstm_narrower_than_the_front_end_is_rejected(self, stride):
-        from kinemotion.errors import ContractError
-
         # a checkpoint's layers need not fit together
         net = build_model(ModelConfig(input_len=128), seed=26)
         net.layers[12] = LSTM(32, 64)
@@ -308,13 +384,18 @@ class TestPredictWindows:
             predict_windows(net, random_series(2000), stride)
 
     def test_window_shorter_than_the_receptive_field_is_rejected(self):
-        from kinemotion.errors import ContractError
-
         # a checkpoint's header may declare a window its layers cannot take
         net = build_model(ModelConfig(), seed=24)
-        net.input_len = min_input_length(ModelConfig()) - 1
+        net.input_len = receptive_field(net) - 1
         with pytest.raises(ContractError, match="receptive field 94"):
             predict_windows(net, random_series(500), 8)
+
+    @pytest.mark.parametrize("stride", [8, 999])
+    def test_head_other_than_four_scores_is_rejected(self, stride):
+        net = build_model(ModelConfig(input_len=128), seed=27)
+        net.layers[14] = Dense(64, 5)
+        with pytest.raises(ContractError, match=r"to \(5,\), not 4 class scores"):
+            predict_windows(net, random_series(2000), stride)
 
 
 class TestTrain:

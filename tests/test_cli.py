@@ -389,6 +389,119 @@ class TestClassifyChunks:
         assert code in (0, 2)
 
 
+def misfit_net(probe):
+    """A network whose layers or window do not map a (3, W) epoch to 4 scores."""
+    from kinemotion.classifier import ModelConfig, build_model
+    from kinemotion.nn import LSTM, Conv1D, Dense, Network, ReLU
+
+    net = build_model(ModelConfig(input_len=128), seed=0)
+    if probe == "below_receptive_field":
+        net.input_len = 93  # the default front end reads 94 samples
+    elif probe == "lstm_width_32":
+        net.layers[12] = LSTM(32, 64)
+    elif probe == "dense_width_32":
+        net.layers[14] = Dense(32, 4)
+    elif probe == "dense_out_5":
+        net.layers[14] = Dense(64, 5)
+    else:  # no head: the sliding stack's (4, 124) features
+        net = Network([Conv1D(3, 4, 5), ReLU()], input_len=128)
+    return net
+
+
+MISFIT_PROBES = ["below_receptive_field", "lstm_width_32", "dense_width_32",
+                 "dense_out_5", "no_head"]
+COMMANDS = {
+    "eval": lambda data, rec, ckpt, out: [
+        "eval", "--data", data, "--checkpoint", ckpt, "--out", out],
+    "segments": lambda data, rec, ckpt, out: [
+        "classify", "--recording", rec, "--checkpoint", ckpt, "--out", out],
+    "windows": lambda data, rec, ckpt, out: [
+        "classify", "--recording", rec, "--checkpoint", ckpt, "--out", out,
+        "--mode", "windows", "--stride", "8"],
+}
+
+
+class TestMisfitCheckpoints:
+    """A checkpoint must map its window to 4 class scores; it is checked at load."""
+
+    @staticmethod
+    def refuse_reading(monkeypatch):
+        from kinemotion import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a recording was read")
+
+        for name in ("parse_recording", "load_dataset_dir", "extract_epochs"):
+            monkeypatch.setattr(cli, name, unreachable)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("probe", MISFIT_PROBES)
+    def test_misfit_exits_2_naming_the_file_before_reading(
+        self, synth_dir, tmp_path, capsys, monkeypatch, probe, command
+    ):
+        from kinemotion.nn import save_checkpoint
+
+        ckpt = tmp_path / f"{probe}.knm"
+        save_checkpoint(ckpt, misfit_net(probe), seed=0)
+        out = tmp_path / "out"
+        recording = TestClassifyChunks.first_recording(synth_dir)
+        self.refuse_reading(monkeypatch)
+        code = run_cli(*COMMANDS[command](str(synth_dir), str(recording), str(ckpt),
+                                          str(out)))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {ckpt}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_eval_and_segments_refuse_a_window_over_the_bound(
+        self, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        from kinemotion import cli
+        from kinemotion.classifier import ModelConfig, build_model
+        from kinemotion.nn import save_checkpoint
+
+        net = build_model(ModelConfig(), seed=0)
+        net.input_len = 10**8  # 1.40 TiB of epochs for synth 160/class
+        ckpt = tmp_path / "huge.knm"
+        save_checkpoint(ckpt, net, seed=0)
+        recording = TestClassifyChunks.first_recording(synth_dir)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the epoch array was allocated")
+
+        monkeypatch.setattr(cli, "extract_epochs", unreachable)
+        out = tmp_path / "out"
+        for command in ("eval", "segments"):
+            code = run_cli(*COMMANDS[command](str(synth_dir), str(recording),
+                                              str(ckpt), str(out)))
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("error: window 100000000 exceeds 4 x the longest "
+                                  "key-movement segment (")
+            assert not out.exists()
+
+    def test_segments_without_a_usable_key_segment_write_only_the_header(
+        self, tmp_path
+    ):
+        from kinemotion.classifier import ModelConfig, build_model
+        from kinemotion.dataset import Annotation
+        from kinemotion.nn import save_checkpoint
+
+        net = build_model(ModelConfig(), seed=0)
+        net.input_len = 10**8
+        save_checkpoint(tmp_path / "huge.knm", net, seed=0)
+        random_recording(tmp_path / "r.csv", rows=50,
+                         annotations=(Annotation(0, 20, "R3"), Annotation(20, 21, "M1")))
+        out = tmp_path / "segments.csv"
+        assert run_cli("classify", "--recording", str(tmp_path / "r.csv"),
+                       "--checkpoint", str(tmp_path / "huge.knm"),
+                       "--out", str(out)) == 0
+        assert out.read_text() == (
+            "start_index,end_index,true_label,predicted,p_M1,p_M2,p_M3,p_M4\n"
+        )
+
+
 class TestConfigFile:
     def test_config_overrides_and_flag_precedence(self, synth_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
