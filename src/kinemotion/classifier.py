@@ -5,8 +5,10 @@ The network is a four-layer convolutional front end over the raw
 after the fourth convolution only, followed by one unidirectional LSTM
 whose final hidden state feeds a dense 4-class head through a dropout.
 
-Vocabulary note: ``Epoch`` always means a fixed-length signal window;
-a full pass over the training data is spelled out as "training epoch".
+Vocabulary note: an epoch always means a fixed-length signal window (a
+(3, W) row of an epoch array, or a ``TimeSeries3D`` slice cut by
+``kinematics.window``); a full pass over the training data is spelled
+out as "training epoch".
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dataset import KEY_MOVEMENTS, augment_offsets, shifted_rows
+from .dataset import KEY_MOVEMENTS, augment_offsets, check_seed, shifted_rows
 from .errors import ConfigError, ContractError, TrainingDiverged
-from .kinematics import AXES, Epoch, TimeSeries3D, window_offsets
+from .kinematics import AXES, TimeSeries3D, window_offsets
 from .nn import (
     LSTM,
     Adam,
@@ -149,6 +151,7 @@ class TrainConfig:
             raise ConfigError("class_weights must be positive")
         if not 0 < self.lr < math.inf:  # also false for NaN
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -193,7 +196,7 @@ def predict_proba(net: Network, x, rows=None) -> np.ndarray:
 
     With ``rows``, of the epochs ``x[rows]`` only.  Each forward pass
     gathers EVAL_CHUNK epochs.  W must be the model window when the
-    network declares one.
+    network declares one, and the network must give 4 scores per epoch.
     """
     window = net.input_len
     if window is not None and x.shape[-1] != window:
@@ -204,7 +207,11 @@ def predict_proba(net: Network, x, rows=None) -> np.ndarray:
     probs = np.empty((len(rows), N_CLASSES))
     for start in range(0, len(rows), EVAL_CHUNK):
         chunk = x[rows[start : start + EVAL_CHUNK]]
-        probs[start : start + len(chunk)] = softmax(net.forward(chunk, train=False))
+        scores = net.forward(chunk, train=False)
+        if scores.shape[1:] != (N_CLASSES,):
+            raise ContractError(f"the network gives scores of shape {scores.shape[1:]} "
+                                f"per epoch, not ({N_CLASSES},)")
+        probs[start : start + len(chunk)] = softmax(scores)
     return probs
 
 
@@ -316,7 +323,7 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
             count = min(per_block, n_feats - first)
             lo = phase + first * total
             out = front.forward(signal[None, :, lo : lo + (count - 1) * total + span])
-            xw[first : first + count] = out[0].T @ lstm.params["wx"] + lstm.params["b"]
+            xw[first : first + count] = lstm.project(out[0].T)
         for at in range(0, len(rows), EVAL_CHUNK):
             gates = xw[time + starts[at : at + EVAL_CHUNK]]  # (T, B, 4H)
             probs[rows[at : at + EVAL_CHUNK]] = softmax(
@@ -325,9 +332,9 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
     return probs
 
 
-def predict(net: Network, epoch: Epoch):
-    """Class probabilities and argmax label for one epoch (eval mode)."""
-    probs = predict_proba(net, epoch.values.T[None])[0]
+def predict(net: Network, window: TimeSeries3D):
+    """Class probabilities and argmax label for one (W, 3) window (eval mode)."""
+    probs = predict_proba(net, window.samples.T[None])[0]
     return probs, KEY_MOVEMENTS[int(np.argmax(probs))]
 
 

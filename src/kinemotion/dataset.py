@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, InvalidDataError, ParseError
+from .errors import ConfigError, ContractError, InvalidDataError, ParseError
 from .kinematics import ACCELERATION, TimeSeries3D
 
 KEY_MOVEMENTS = ("M1", "M2", "M3", "M4")
@@ -147,6 +147,13 @@ class Recording:
         return self.series.slice(annotation.start, annotation.end)
 
 
+def check_seed(seed, name="seed"):
+    """ConfigError unless ``seed`` is an integer >= 0, as ``np.random.default_rng``
+    needs; ``name`` is the field named in the message."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"{name} must be an integer >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class SplitConfig:
     train_fraction: float = 0.8
@@ -157,6 +164,7 @@ class SplitConfig:
             raise ContractError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
             )
+        check_seed(self.seed, "split seed")
 
 
 # ---------------------------------------------------------------------------

@@ -96,28 +96,6 @@ class TimeSeries3D:
         return sub
 
 
-@dataclass(frozen=True)
-class Epoch:
-    """Fixed-length window of (x, y, z) samples plus its provenance."""
-
-    values: np.ndarray
-    source_id: str = ""
-    offset: int = 0
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ContractError(f"epoch values must have shape (w, 3), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidDataError("epoch contains NaN or Inf")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self):
-        return self.values.shape[0]
-
-
 def differentiate(series: TimeSeries3D) -> TimeSeries3D:
     """Differentiate a series in time, advancing its derivative order.
 
@@ -160,16 +138,13 @@ def window_offsets(n: int, w: int, s: int) -> range:
     return range(0, n - w + 1, s)
 
 
-def window(series: TimeSeries3D, w: int, s: int) -> list[Epoch]:
-    """Cut the series into fixed-length epochs of length ``w``, stride ``s``.
+def window(series: TimeSeries3D, w: int, s: int) -> list[TimeSeries3D]:
+    """Cut the series into fixed-length windows of length ``w``, stride ``s``.
 
-    Epoch k covers samples [k*s, k*s + w); a series shorter than ``w``
-    yields an empty list.
+    Window k is ``series.slice(k*s, k*s + w)``, a read-only view; a series
+    shorter than ``w`` yields an empty list.
     """
-    return [
-        Epoch(values=series.samples[o : o + w], offset=o)
-        for o in window_offsets(len(series), w, s)
-    ]
+    return [series.slice(o, o + w) for o in window_offsets(len(series), w, s)]
 
 
 def resample(series: TimeSeries3D, target_len: int) -> TimeSeries3D:

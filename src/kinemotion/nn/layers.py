@@ -235,7 +235,7 @@ class LSTM(Layer):
     Processes timesteps left to right from zero initial state and
     returns the final hidden state (B, hidden); gate pre-activations
     are packed [input, forget, candidate, output].  ``forward`` is the
-    input projection ``x_t @ wx + b`` of every timestep as one matrix
+    input projection (:meth:`project`) of every timestep as one matrix
     product, followed by :meth:`recurrence`, where only the recurrent
     (B, 4H) product runs per step.  The projection of a timestep reads
     that timestep only, so a caller holding the projections of a
@@ -276,11 +276,14 @@ class LSTM(Layer):
         batch, _, n_steps = x.shape
         # time-major inputs: xs[t] is the (B, in) slice of timestep t
         xs = np.ascontiguousarray(x.transpose(2, 0, 1)).reshape(n_steps * batch, -1)
-        xw = xs @ self.params["wx"] + self.params["b"]
-        h = self.recurrence(xw.reshape(n_steps, batch, -1), train=train)
+        h = self.recurrence(self.project(xs).reshape(n_steps, batch, -1), train=train)
         if train:
             self._cache = (xs, *self._cache)
         return h
+
+    def project(self, rows):
+        """Input projections ``x_t @ wx + b`` (n, 4H) of the (n, in) inputs ``rows``."""
+        return rows @ self.params["wx"] + self.params["b"]
 
     def recurrence(self, xw, train=False):
         """Final hidden state (B, H) from projected inputs xw (T, B, 4H).

@@ -309,27 +309,19 @@ def _compare_cell(healthy, patient):
     )
 
 
-def compare_tables(healthy: dict, patient: dict, axis="x") -> CohortComparison:
-    """Compare two scalar cohort columns ({movement: {stat: value}})."""
+def compare_cohort_table(table: ReferenceTable, axis="x") -> CohortComparison:
+    """Healthy-vs-patient contrast of every key movement in a cohort reference
+    table, loaded or built from records; each cohort needs each movement."""
     cells = {}
     for movement in KEY_MOVEMENTS:
-        if movement not in healthy or movement not in patient:
+        means = table.values.get(movement, {}).get("mean", {})
+        if not set(COHORTS) <= means.keys():
             raise ContractError(f"movement {movement} missing from a cohort")
         for statistic in STATISTICS:
             cells[(movement, statistic)] = _compare_cell(
-                healthy[movement][statistic], patient[movement][statistic]
+                *(table.cell(movement, statistic, cohort) for cohort in COHORTS)
             )
     return CohortComparison(axis=axis, cells=cells)
-
-
-def compare_cohort_table(table: ReferenceTable, axis="x") -> CohortComparison:
-    """Contrast from a cohort reference table, loaded or built from records."""
-    healthy, patient = {}, {}
-    for movement, stats in table.values.items():
-        for cohort, column in (("healthy", healthy), ("patient", patient)):
-            if cohort in stats["mean"]:
-                column[movement] = {s: stats[s][cohort] for s in STATISTICS}
-    return compare_tables(healthy, patient, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +365,15 @@ class ImprovementFlags:
         return header, rows, {"axis": self.axis, "movements": movements}
 
 
-def evolution_from_means(means_by_movement: dict, axis="x") -> ImprovementFlags:
-    """Flags from {movement: {session: mean squared jerk}}.
+def evolution_from_table(table: ReferenceTable, axis="x") -> ImprovementFlags:
+    """Flags from a session reference table's mean rows, loaded or built.
 
     Session 1 is the baseline and must be present for every movement;
     a later session is improved iff its mean is strictly lower.
     """
     movements = {}
-    for movement, means in means_by_movement.items():
+    for movement, stats in table.values.items():
+        means = stats["mean"]
         if 1 not in means:
             raise ContractError(f"movement {movement}: session 1 baseline is missing")
         baseline = means[1]
@@ -393,12 +386,6 @@ def evolution_from_means(means_by_movement: dict, axis="x") -> ImprovementFlags:
             improved_sessions=improved,
         )
     return ImprovementFlags(axis=axis, movements=movements)
-
-
-def evolution_from_table(table: ReferenceTable, axis="x") -> ImprovementFlags:
-    """Flags from a session reference table's mean rows, loaded or built."""
-    means = {m: dict(stats["mean"]) for m, stats in table.values.items()}
-    return evolution_from_means(means, axis=axis)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Annotation, KEY_MOVEMENTS, Recording, write_recording
+from .dataset import Annotation, KEY_MOVEMENTS, Recording, check_seed, write_recording
 from .errors import ContractError
 from .kinematics import ACCELERATION, TimeSeries3D
 
@@ -152,6 +152,7 @@ def gen_dataset(
         raise ContractError("n_per_class must be >= 1")
     if not (0.0 <= healthy_fraction <= 1.0):
         raise ContractError("healthy_fraction must be in [0, 1]")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     fs = 50.0
     n_healthy = int(round(n_per_class * healthy_fraction))

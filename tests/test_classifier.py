@@ -1,6 +1,7 @@
 """Architecture assembly, training-loop contracts, evaluation."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from kinemotion.classifier import (
 )
 from kinemotion.dataset import KEY_MOVEMENTS
 from kinemotion.errors import ConfigError, ContractError
-from kinemotion.kinematics import Epoch, TimeSeries3D, window
+from kinemotion.kinematics import TimeSeries3D, window
 from kinemotion.nn import (
     LSTM,
     Conv1D,
@@ -67,9 +68,9 @@ def make_set(n_per_class, w, seed=0):
     return np.ascontiguousarray(x), labels
 
 
-def as_epoch(row):
-    """One (3, W) row of an epoch array as a kinematics.Epoch."""
-    return Epoch(values=row.T)
+def as_window(row):
+    """One (3, W) row of an epoch array as the (W, 3) window ``predict`` takes."""
+    return TimeSeries3D(fs=50.0, samples=row.T)
 
 
 def train_on(net, train_set, test_set, cfg):
@@ -199,7 +200,7 @@ class TestPredictEvaluate:
         head.params["w"] = np.zeros_like(head.params["w"])
         head.params["b"] = np.zeros_like(head.params["b"])
         x, _ = make_set(1, w=64)
-        probs, _ = predict(net, as_epoch(x[0]))
+        probs, _ = predict(net, as_window(x[0]))
         np.testing.assert_array_equal(probs, [0.25, 0.25, 0.25, 0.25])
 
     def test_wrong_epoch_length_rejected(self):
@@ -208,14 +209,26 @@ class TestPredictEvaluate:
         net = build_model(ModelConfig.toy(), seed=3)
         x, _ = make_set(1, w=48)
         with pytest.raises(ContractError, match="window"):
-            predict(net, as_epoch(x[0]))
+            predict(net, as_window(x[0]))
         with pytest.raises(ContractError, match="window 64"):
             predict_proba(net, x)
+
+    def test_head_other_than_four_scores_is_rejected(self):
+        net = build_model(ModelConfig(), seed=0)
+        net.layers[14] = Dense(64, 5)
+        x, labels = make_set(1, w=128)
+        shape = re.escape("shape (5,) per epoch, not (4,)")
+        with pytest.raises(ContractError, match=shape):
+            predict_proba(net, x)
+        with pytest.raises(ContractError, match=shape):
+            evaluate(net, x, labels, np.arange(len(x)))
+        with pytest.raises(ContractError, match=shape):
+            predict(net, as_window(x[0]))
 
     def test_probabilities_sum_to_one(self):
         net = build_model(ModelConfig.toy(), seed=2)
         for row in make_set(3, w=64, seed=3)[0]:
-            probs, label = predict(net, as_epoch(row))
+            probs, label = predict(net, as_window(row))
             assert abs(probs.sum() - 1.0) < 1e-12
             assert label in KEY_MOVEMENTS
 
@@ -224,7 +237,7 @@ class TestPredictEvaluate:
         x, labels = make_set(6, w=64, seed=5)
         result = evaluate(net, x, labels, np.arange(len(x)))
         correct = sum(
-            predict(net, as_epoch(row))[1] == KEY_MOVEMENTS[label]
+            predict(net, as_window(row))[1] == KEY_MOVEMENTS[label]
             for row, label in zip(x, labels)
         )
         assert result.accuracy == correct / len(x)
@@ -271,9 +284,9 @@ def random_series(rows, seed=0):
 
 
 def windows_of(series, w, stride):
-    """The epochs ``kinematics.window`` cuts, as one (N, 3, w) array."""
-    epochs = window(series, w, stride)
-    return np.array([ep.values.T for ep in epochs]).reshape(len(epochs), 3, w)
+    """The windows ``kinematics.window`` cuts, as one (N, 3, w) array."""
+    windows = window(series, w, stride)
+    return np.array([ep.samples.T for ep in windows]).reshape(len(windows), 3, w)
 
 
 def assert_rows_agree(got, want):

@@ -205,14 +205,14 @@ def classified_rows(path):
         return list(csv.DictReader(fh))
 
 
-def assert_rows_match_predict(rows, net, epochs):
+def assert_rows_match_predict(rows, net, windows):
     import numpy as np
 
     from kinemotion.classifier import predict
 
-    assert len(rows) == len(epochs)
-    for row, epoch in zip(rows, epochs):
-        probs, label = predict(net, epoch)
+    assert len(rows) == len(windows)
+    for row, window in zip(rows, windows):
+        probs, label = predict(net, window)
         printed = [float(row[f"p_{m}"]) for m in ("M1", "M2", "M3", "M4")]
         assert row["predicted"] == label
         assert np.max(np.abs(np.asarray(printed) - probs)) <= 5e-7
@@ -259,12 +259,12 @@ class TestClassifyChunks:
 
     def test_windows_across_chunk_boundaries_match_predict(self, trained_dir, tmp_path):
         from kinemotion.classifier import EVAL_CHUNK
-        from kinemotion.kinematics import window
+        from kinemotion.kinematics import window, window_offsets
         from kinemotion.nn import load_checkpoint
 
         rec = random_recording(tmp_path / "long.csv", rows=96 + 5 * (EVAL_CHUNK + 36))
-        epochs = window(rec.series, 96, 5)
-        assert len(epochs) > EVAL_CHUNK and len(epochs) % EVAL_CHUNK != 0
+        windows = window(rec.series, 96, 5)
+        assert len(windows) > EVAL_CHUNK and len(windows) % EVAL_CHUNK != 0
         out = tmp_path / "windows.csv"
         assert run_cli(
             "classify",
@@ -276,9 +276,9 @@ class TestClassifyChunks:
         ) == 0
         rows = classified_rows(out)
         net = load_checkpoint(trained_dir / "model.knm").net
-        assert_rows_match_predict(rows, net, epochs)
+        assert_rows_match_predict(rows, net, windows)
         assert [(int(r["start_index"]), int(r["end_index"])) for r in rows] == [
-            (ep.offset, ep.offset + 96) for ep in epochs
+            (o, o + 96) for o in window_offsets(len(rec.series), 96, 5)
         ]
 
     def test_segments_across_chunk_boundaries_match_predict(
@@ -286,7 +286,7 @@ class TestClassifyChunks:
     ):
         from kinemotion import classifier
         from kinemotion.dataset import KEY_MOVEMENTS, Annotation, extract_epochs
-        from kinemotion.kinematics import Epoch
+        from kinemotion.kinematics import TimeSeries3D
         from kinemotion.nn import load_checkpoint
 
         # eight key segments, a degenerate one and a distractor: with a
@@ -312,7 +312,9 @@ class TestClassifyChunks:
             KEY_MOVEMENTS[k] for k in labelled.labels
         ]
         net = load_checkpoint(trained_dir / "model.knm").net
-        assert_rows_match_predict(rows, net, [Epoch(row.T) for row in labelled.x])
+        assert_rows_match_predict(
+            rows, net, [TimeSeries3D(fs=rec.series.fs, samples=row.T) for row in labelled.x]
+        )
 
     def test_truncated_checkpoint_is_a_data_error(self, synth_dir, tmp_path, capsys):
         recording = sorted(
@@ -937,3 +939,49 @@ class TestUsageAndExitCodes:
             for action in sub._actions:
                 for option in action.option_strings:
                     assert option in text, (name, option)
+
+
+class TestNegativeSeeds:
+    """A seed is an integer >= 0: a negative one is a data error naming the field."""
+
+    @staticmethod
+    def assert_refused(code, capsys, field):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {field} must be an integer >= 0, got -1\n"
+
+    def test_train_seed_is_refused_before_any_recording_is_read(
+        self, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        from kinemotion import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a recording was read")
+
+        monkeypatch.setattr(cli, "load_dataset_dir", unreachable)
+        out = tmp_path / "run"
+        code = run_cli("train", "--data", str(synth_dir), "--out", str(out),
+                       "--epochs", "1", "--seed", "-1")
+        self.assert_refused(code, capsys, "seed")
+        assert not out.exists()
+
+    def test_train_split_seed(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run_cli("train", "--data", str(synth_dir), "--out", str(out),
+                       "--epochs", "1", "--window", "96", "--split-seed", "-1")
+        self.assert_refused(code, capsys, "split seed")
+        assert not out.exists()
+
+    def test_eval_split_seed(self, synth_dir, trained_dir, tmp_path, capsys):
+        out = tmp_path / "eval"
+        code = run_cli("eval", "--data", str(synth_dir),
+                       "--checkpoint", str(trained_dir / "model.knm"),
+                       "--out", str(out), "--split-seed", "-1")
+        self.assert_refused(code, capsys, "split seed")
+        assert not out.exists()
+
+    def test_synth_seed(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        code = run_cli("synth", "--n-per-class", "1", "--seed", "-1", "--out", str(out))
+        self.assert_refused(code, capsys, "seed")
+        assert not out.exists()

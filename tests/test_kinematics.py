@@ -9,11 +9,11 @@ from kinemotion.kinematics import (
     ACCELERATION,
     JERK,
     SNAP,
-    Epoch,
     TimeSeries3D,
     differentiate,
     resample,
     window,
+    window_offsets,
 )
 from kinemotion.smoothness import smoothness_set
 
@@ -184,7 +184,8 @@ class TestWindow:
     def test_counts_and_offsets(self):
         ts = TimeSeries3D(fs=50.0, samples=np.arange(30.0).reshape(10, 3))
         epochs = window(ts, w=4, s=2)
-        assert [e.offset for e in epochs] == [0, 2, 4, 6]
+        assert list(window_offsets(len(ts), 4, 2)) == [0, 2, 4, 6]
+        assert [e.samples[0, 0] for e in epochs] == [0.0, 6.0, 12.0, 18.0]
         assert all(len(e) == 4 for e in epochs)
 
     def test_single_epoch_cases(self):
@@ -218,10 +219,18 @@ class TestWindow:
     def test_content_matches_slices(self):
         rng = np.random.default_rng(7)
         ts = TimeSeries3D(fs=50.0, samples=rng.normal(size=(20, 3)))
-        for ep in window(ts, w=5, s=3):
-            np.testing.assert_array_equal(
-                ep.values, ts.samples[ep.offset : ep.offset + 5]
-            )
+        epochs = window(ts, w=5, s=3)
+        for ep, offset in zip(epochs, window_offsets(len(ts), 5, 3), strict=True):
+            np.testing.assert_array_equal(ep.samples, ts.samples[offset : offset + 5])
+
+    def test_windows_are_read_only_views_with_the_series_tags(self):
+        ts = TimeSeries3D(fs=40.0, samples=np.zeros((16, 3)), order=JERK, unit="m/s^3")
+        (ep,) = window(ts, w=16, s=4)
+        assert len(ep) == 16
+        assert (ep.fs, ep.order, ep.unit) == (40.0, JERK, "m/s^3")
+        assert np.shares_memory(ep.samples, ts.samples)
+        with pytest.raises(ValueError):
+            ep.samples[0, 0] = 1.0
 
 
 class TestResample:
@@ -269,14 +278,3 @@ class TestResample:
         with pytest.raises(ContractError):
             resample(short, 10)
 
-
-class TestEpoch:
-    def test_length_and_readonly(self):
-        ep = Epoch(values=np.zeros((16, 3)), source_id="r1", offset=5)
-        assert len(ep) == 16
-        with pytest.raises(ValueError):
-            ep.values[0, 0] = 1.0
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ContractError):
-            Epoch(values=np.zeros((16, 2)))

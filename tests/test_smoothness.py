@@ -18,11 +18,10 @@ from kinemotion.smoothness import (
     EQUAL,
     HEALTHY_HIGHER,
     PATIENT_HIGHER,
+    STATISTICS,
     ReferenceTable,
     SmoothnessSet,
     compare_cohort_table,
-    compare_tables,
-    evolution_from_means,
     evolution_from_table,
     load_table,
     render_report,
@@ -48,6 +47,23 @@ def as_set(records):
         sessions=np.array(sessions),
         movements=np.array(movements),
     )
+
+
+def cohort_table(healthy, patient):
+    """A cohort ReferenceTable from two {movement: {statistic: value}} columns."""
+    return ReferenceTable("cohort", COHORTS, {
+        m: {s: {"healthy": healthy[m][s], "patient": patient[m][s]} for s in STATISTICS}
+        for m in healthy
+    })
+
+
+def session_table(means):
+    """A session ReferenceTable from {movement: {session: mean}}; max and min
+    repeat the means."""
+    columns = tuple(sorted({s for sessions in means.values() for s in sessions}))
+    return ReferenceTable("session", columns, {
+        m: {s: dict(sessions) for s in STATISTICS} for m, sessions in means.items()
+    })
 
 
 def one_segment(samples, fs=50.0, label="M1"):
@@ -233,8 +249,8 @@ class TestCohortCompare:
             m: {"mean": rng.normal(), "max": rng.uniform(1, 5), "min": -rng.uniform(1, 5)}
             for m in ("M1", "M2", "M3", "M4")
         }
-        forward = compare_tables(healthy, patient)
-        backward = compare_tables(patient, healthy)
+        forward = compare_cohort_table(cohort_table(healthy, patient))
+        backward = compare_cohort_table(cohort_table(patient, healthy))
         swap = {HEALTHY_HIGHER: PATIENT_HIGHER, PATIENT_HIGHER: HEALTHY_HIGHER, EQUAL: EQUAL}
         for key, cell in forward.cells.items():
             assert backward.cells[key].direction == swap[cell.direction]
@@ -267,29 +283,30 @@ class TestCohortCompare:
 class TestSessionEvolution:
     def test_patient_102_m4_improves_in_all_later_sessions(self):
         means = {"M4": {1: 1.90, 2: 1.25, 3: 1.67, 4: 0.84}}
-        flags = evolution_from_means(means)
+        flags = evolution_from_table(session_table(means))
         assert flags.improved("M4") == frozenset({2, 3, 4})
 
     def test_patient_100_m2_never_improves(self):
         means = {"M2": {1: 4.17, 2: 9.07, 3: 12.74, 4: 19.92}}
-        flags = evolution_from_means(means)
+        flags = evolution_from_table(session_table(means))
         assert flags.improved("M2") == frozenset()
 
     def test_patient_101_m1_improves_throughout(self):
         means = {"M1": {1: 7.61, 2: 2.62, 3: 4.63, 4: 5.23}}
-        flags = evolution_from_means(means)
+        flags = evolution_from_table(session_table(means))
         assert flags.improved("M1") == frozenset({2, 3, 4})
 
     def test_all_sessions_equal_means_no_improvement(self):
-        flags = evolution_from_means({"M1": {1: 2.0, 2: 2.0, 3: 2.0, 4: 2.0}})
+        means = {"M1": {1: 2.0, 2: 2.0, 3: 2.0, 4: 2.0}}
+        flags = evolution_from_table(session_table(means))
         assert flags.improved("M1") == frozenset()
 
     def test_missing_baseline_rejected(self):
         with pytest.raises(ContractError, match="session 1"):
-            evolution_from_means({"M1": {2: 1.0, 3: 2.0}})
+            evolution_from_table(session_table({"M1": {2: 1.0, 3: 2.0}}))
 
     def test_missing_later_session_simply_absent(self):
-        flags = evolution_from_means({"M1": {1: 5.0, 3: 1.0}})
+        flags = evolution_from_table(session_table({"M1": {1: 5.0, 3: 1.0}}))
         assert flags.improved("M1") == frozenset({3})
 
     def test_scale_invariance(self):
@@ -298,10 +315,10 @@ class TestSessionEvolution:
             means = {
                 "M2": {s: float(rng.uniform(0.1, 10)) for s in (1, 2, 3, 4)}
             }
-            base = evolution_from_means(means)
+            base = evolution_from_table(session_table(means))
             factor = float(rng.uniform(0.01, 100))
-            scaled = evolution_from_means(
-                {"M2": {s: v * factor for s, v in means["M2"].items()}}
+            scaled = evolution_from_table(
+                session_table({"M2": {s: v * factor for s, v in means["M2"].items()}})
             )
             assert base.improved("M2") == scaled.improved("M2")
 
@@ -547,7 +564,7 @@ class TestReportJson:
     def zero_healthy_comparison(self):
         healthy = {m: {"mean": 0.0, "max": 2.0, "min": -1.0} for m in ("M1", "M2", "M3", "M4")}
         patient = {m: {"mean": 3.0, "max": 2.0, "min": -1.0} for m in ("M1", "M2", "M3", "M4")}
-        return compare_tables(healthy, patient)
+        return compare_cohort_table(cohort_table(healthy, patient))
 
     def test_infinite_ratio_is_null_in_json(self):
         comparison = self.zero_healthy_comparison()
