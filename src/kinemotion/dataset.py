@@ -339,7 +339,7 @@ def _read_signal(path):
     values = _read_plain_signal(path)
     if values is None:
         values = _read_csv_signal(path)
-    return np.ascontiguousarray(values[:, 0]), np.ascontiguousarray(values[:, 1:])
+    return values[:, 0], values[:, 1:]  # views: TimeSeries3D makes the one copy
 
 
 def _read_annotations(path):

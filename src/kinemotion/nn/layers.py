@@ -16,6 +16,10 @@ Conventions
 * ``out_shape(shape)`` maps one example's input shape to its output
   shape (no batch axis) or raises ContractError naming the layer: the
   one shape rule, which ``forward`` enforces and ``Network.shapes`` walks.
+* A weighted layer draws each weight from ``rng`` before it allocates a
+  bias, and no bias is larger than the weight drawn before it: the
+  checkpoint loader's generator stand-in bounds what a header can
+  allocate by that order.
 """
 
 from __future__ import annotations
@@ -31,7 +35,14 @@ def _he_uniform(rng, shape, fan_in):
 
 
 class Layer:
-    """Common surface: params/grads dicts, forward/backward, spec dict."""
+    """Common surface: params/grads dicts, forward/backward, spec dict.
+
+    ``FIELDS`` names the constructor arguments in order, each kept as
+    the attribute of that name; ``spec()``, ``repr`` and
+    :func:`layer_from_spec` are all read from it.
+    """
+
+    FIELDS: tuple[str, ...] = ()
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -45,7 +56,13 @@ class Layer:
         raise NotImplementedError
 
     def spec(self) -> dict:
-        raise NotImplementedError
+        """The layer's kind and constructor arguments, as a checkpoint holds them."""
+        fields = {field: getattr(self, field) for field in self.FIELDS}
+        return {"kind": type(self).__name__.lower(), **fields}
+
+    def __repr__(self):
+        args = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.FIELDS)
+        return f"{type(self).__name__}({args})"
 
     def out_shape(self, shape: tuple) -> tuple:
         """Output shape of one example of input ``shape``; kept by default."""
@@ -78,6 +95,8 @@ class _Window(Layer):
 class Conv1D(_Window):
     """Valid (no padding) 1-D convolution over (B, channels, length) input."""
 
+    FIELDS = ("in_channels", "out_channels", "kernel", "stride")
+
     def __init__(self, in_channels, out_channels, kernel, stride=1, rng=None):
         super().__init__(kernel, stride)
         if min(in_channels, out_channels) < 1:
@@ -90,12 +109,6 @@ class Conv1D(_Window):
             "w": _he_uniform(rng, (out_channels, in_channels, kernel), fan_in),
             "b": np.zeros(out_channels),
         }
-
-    def __repr__(self):
-        return (
-            f"Conv1D({self.in_channels}->{self.out_channels}, "
-            f"k={self.kernel}, s={self.stride})"
-        )
 
     def out_shape(self, shape):
         if len(shape) != 2 or shape[0] != self.in_channels:
@@ -134,20 +147,8 @@ class Conv1D(_Window):
             self._tap(dx, j, l_out)[...] += dcols[:, :, j, :]
         return dx
 
-    def spec(self):
-        return {
-            "kind": "conv1d",
-            "in_channels": self.in_channels,
-            "out_channels": self.out_channels,
-            "kernel": self.kernel,
-            "stride": self.stride,
-        }
-
 
 class ReLU(Layer):
-    def __repr__(self):
-        return "ReLU()"
-
     def forward(self, x, train=False, rng=None):
         self._cache = x > 0
         return np.maximum(x, 0.0)
@@ -156,15 +157,11 @@ class ReLU(Layer):
         self.grads = {}
         return dout * self._cache
 
-    def spec(self):
-        return {"kind": "relu"}
-
 
 class MaxPool1D(_Window):
     """Max pooling over the length axis; ties go to the earliest index."""
 
-    def __repr__(self):
-        return f"MaxPool1D(k={self.kernel}, s={self.stride})"
+    FIELDS = ("kernel", "stride")
 
     def out_shape(self, shape):
         if len(shape) != 2:
@@ -192,9 +189,6 @@ class MaxPool1D(_Window):
             self._tap(dx, j, l_out)[...] += dout * hit
         return dx
 
-    def spec(self):
-        return {"kind": "maxpool1d", "kernel": self.kernel, "stride": self.stride}
-
 
 class Dropout(Layer):
     """Inverted dropout: scales by 1/(1-p) in train mode, identity in eval.
@@ -202,14 +196,13 @@ class Dropout(Layer):
     One mask is drawn per call, covering the whole batch.
     """
 
+    FIELDS = ("p",)
+
     def __init__(self, p):
         super().__init__()
         if not (0.0 <= p < 1.0):
             raise ContractError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
-
-    def __repr__(self):
-        return f"Dropout(p={self.p})"
 
     def forward(self, x, train=False, rng=None):
         if not train or self.p == 0.0:
@@ -224,9 +217,6 @@ class Dropout(Layer):
     def backward(self, dout):
         self.grads = {}
         return dout if self._cache is None else dout * self._cache
-
-    def spec(self):
-        return {"kind": "dropout", "p": self.p}
 
 
 class LSTM(Layer):
@@ -245,6 +235,8 @@ class LSTM(Layer):
     starts at 1.
     """
 
+    FIELDS = ("input_size", "hidden_size")
+
     def __init__(self, input_size, hidden_size, rng=None):
         super().__init__()
         if input_size < 1 or hidden_size < 1:
@@ -255,16 +247,12 @@ class LSTM(Layer):
         h = hidden_size
         bound_x = 1.0 / np.sqrt(input_size)
         bound_h = 1.0 / np.sqrt(h)
-        bias = np.zeros(4 * h)
-        bias[h : 2 * h] = 1.0
         self.params = {
             "wx": rng.uniform(-bound_x, bound_x, size=(input_size, 4 * h)),
             "wh": rng.uniform(-bound_h, bound_h, size=(h, 4 * h)),
-            "b": bias,
+            "b": np.zeros(4 * h),
         }
-
-    def __repr__(self):
-        return f"LSTM({self.input_size}->{self.hidden_size})"
+        self.params["b"][h : 2 * h] = 1.0
 
     def out_shape(self, shape):
         if len(shape) != 2 or shape[0] != self.input_size or shape[1] < 1:
@@ -345,16 +333,11 @@ class LSTM(Layer):
         dxs = (flat @ wx.T).reshape(n_steps, batch, self.input_size)
         return dxs.transpose(1, 2, 0)
 
-    def spec(self):
-        return {
-            "kind": "lstm",
-            "input_size": self.input_size,
-            "hidden_size": self.hidden_size,
-        }
-
 
 class Dense(Layer):
     """Fully connected layer; each example's trailing axes are flattened."""
+
+    FIELDS = ("in_features", "out_features")
 
     def __init__(self, in_features, out_features, rng=None):
         super().__init__()
@@ -367,9 +350,6 @@ class Dense(Layer):
             "w": _he_uniform(rng, (in_features, out_features), in_features),
             "b": np.zeros(out_features),
         }
-
-    def __repr__(self):
-        return f"Dense({self.in_features}->{self.out_features})"
 
     def out_shape(self, shape):
         if not shape or np.prod(shape) != self.in_features:
@@ -390,42 +370,30 @@ class Dense(Layer):
         }
         return (dout @ self.params["w"].T).reshape(in_shape)
 
-    def spec(self):
-        return {"kind": "dense", "in": self.in_features, "out": self.out_features}
 
-
-class _Unset:
-    """Generator stand-in for layers whose weights are loaded next: it
-    allocates each parameter as zeros and draws nothing."""
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.zeros(size)
-
-
-_LAYER_KINDS = {
-    "conv1d": lambda s, rng: Conv1D(
-        s["in_channels"], s["out_channels"], s["kernel"], s["stride"], rng=rng
-    ),
-    "relu": lambda s, rng: ReLU(),
-    "maxpool1d": lambda s, rng: MaxPool1D(s["kernel"], s["stride"]),
-    "dropout": lambda s, rng: Dropout(s["p"]),
-    "lstm": lambda s, rng: LSTM(s["input_size"], s["hidden_size"], rng=rng),
-    "dense": lambda s, rng: Dense(s["in"], s["out"], rng=rng),
+_KINDS = {
+    cls.__name__.lower(): cls for cls in (Conv1D, ReLU, MaxPool1D, Dropout, LSTM, Dense)
 }
+_WEIGHTED = (Conv1D, LSTM, Dense)
 
 
-def layer_from_spec(spec: dict) -> Layer:
+def layer_from_spec(spec: dict, rng=None) -> Layer:
     """Rebuild a layer from its ``spec()`` dict (checkpoint loading).
 
-    Parameters are allocated at their shapes as zeros, not initialised:
-    the caller sets every one of them.
+    Every field is an int, except ``Dropout.p``, which may also be a
+    float.  A spec that is not a dict, names no known kind or has a
+    mistyped field raises ContractError; a missing field raises
+    KeyError, and an unhashable kind TypeError.  Weighted layers draw
+    their weights from ``rng``.
     """
-    try:
-        factory = _LAYER_KINDS[spec["kind"]]
-    except KeyError:
-        raise ContractError(f"unknown layer kind {spec.get('kind')!r}") from None
-    return factory(spec, _Unset)
+    if not isinstance(spec, dict) or spec.get("kind") not in _KINDS:
+        raise ContractError(f"not a layer spec: {spec!r}")
+    cls = _KINDS[spec["kind"]]
+    args = [spec[field] for field in cls.FIELDS]
+    for field, arg in zip(cls.FIELDS, args):
+        if type(arg) not in ((int, float) if field == "p" else (int,)):
+            raise ContractError(f"{cls.__name__} {field} has the wrong type: {arg!r}")
+    return cls(*args, rng=rng) if cls in _WEIGHTED else cls(*args)
 
 
 class Network:
@@ -460,8 +428,9 @@ class Network:
     def backward(self, dout):
         """Backpropagate from the output gradient; returns the grad bundle.
 
-        Must follow a forward pass on this instance; every gradient is
-        checked shape-congruent with its parameter.
+        Must follow a forward pass on this instance.  The bundle is keyed
+        like ``parameters()``; ``Adam.step`` checks each gradient's shape
+        against its parameter.
         """
         grad = dout
         for i, layer in reversed(list(enumerate(self.layers))):
@@ -469,12 +438,7 @@ class Network:
                 layer.backward(grad, input_grad=False)
             else:
                 grad = layer.backward(grad)
-        bundle = self.gradients()
-        params = self.parameters()
-        for key, g in bundle.items():
-            if g.shape != params[key].shape:
-                raise ContractError(f"gradient/parameter shape mismatch at {key}")
-        return bundle
+        return self.gradients()
 
     def parameters(self) -> dict[str, np.ndarray]:
         """All trainable tensors keyed ``<layer index>.<name>``."""
@@ -491,19 +455,6 @@ class Network:
             for i, layer in enumerate(self.layers)
             for name, arr in layer.grads.items()
         }
-
-    def set_parameters(self, bundle: dict):
-        for key, value in bundle.items():
-            idx, _, name = key.partition(".")
-            layer = self.layers[int(idx)]
-            if name not in layer.params:
-                raise ContractError(f"no parameter {key!r} in this network")
-            if layer.params[name].shape != value.shape:
-                raise ContractError(f"shape mismatch loading {key!r}")
-            layer.params[name] = np.array(value, dtype=np.float64)
-
-    def specs(self) -> list[dict]:
-        return [layer.spec() for layer in self.layers]
 
     def shapes(self, input_shape) -> list[tuple]:
         """Each layer's per-example output shape, by the layers' ``out_shape``."""

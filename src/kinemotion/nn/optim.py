@@ -11,7 +11,8 @@ class Adam:
     """Adaptive moment estimation with bias correction.
 
     Moment accumulators are created lazily, keyed and shaped like the
-    parameter bundle; ``step`` updates the parameters in place:
+    parameter bundle; ``step`` checks that the gradient bundle has the
+    parameters' keys and shapes, then updates the parameters in place:
 
         m = b1*m + (1-b1)*g
         v = b2*v + (1-b2)*g^2
@@ -30,6 +31,9 @@ class Adam:
     def step(self, params: dict, grads: dict) -> None:
         if set(params) != set(grads):
             raise ContractError("parameter and gradient bundles have different keys")
+        for key, p in params.items():
+            if grads[key].shape != p.shape:
+                raise ContractError(f"gradient shape mismatch at {key}")
         if not self.m:
             self.m = {k: np.zeros_like(p) for k, p in params.items()}
             self.v = {k: np.zeros_like(p) for k, p in params.items()}
@@ -38,8 +42,6 @@ class Adam:
         bc2 = 1.0 - self.beta2**self.t
         for key, p in params.items():
             g = grads[key]
-            if g.shape != p.shape:
-                raise ContractError(f"gradient shape mismatch at {key}")
             m = self.m[key]
             v = self.v[key]
             m *= self.beta1

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kinemotion import bundled_table
 from kinemotion.cli import build_parser, run
+from kinemotion.nn.checkpoint import MAGIC
 
 
 def run_cli(*argv):
@@ -321,7 +322,7 @@ class TestClassifyChunks:
             p for p in synth_dir.glob("*.csv") if ".annotations" not in p.name
         )[0]
         bad = tmp_path / "short.knm"
-        bad.write_bytes(b"KNM1\0\0")
+        bad.write_bytes(MAGIC + b"\0\0")
         code = run_cli(
             "classify", "--recording", str(recording), "--checkpoint", str(bad)
         )
@@ -350,17 +351,24 @@ class TestClassifyChunks:
     def first_recording(synth_dir):
         return sorted(p for p in synth_dir.glob("*.csv") if ".annotations" not in p.name)[0]
 
-    def test_checkpoint_with_infinite_seed_is_a_data_error(
-        self, synth_dir, trained_dir, tmp_path, capsys
-    ):
+    @staticmethod
+    def with_header(trained_dir, path, key, value):
+        """The trained checkpoint, written to ``path`` with ``header[key] = value``."""
         raw = (trained_dir / "model.knm").read_bytes()
         header_len = int.from_bytes(raw[4:8], "little")
         header = json.loads(raw[8 : 8 + header_len])
-        header["seed"] = float("inf")
+        header[key] = value
         blob = json.dumps(header).encode("utf-8")
-        bad = tmp_path / "infinite_seed.knm"
-        bad.write_bytes(b"KNM1" + len(blob).to_bytes(4, "little") + blob
-                        + raw[8 + header_len :])
+        path.write_bytes(MAGIC + len(blob).to_bytes(4, "little") + blob
+                         + raw[8 + header_len :])
+        return path
+
+    def test_checkpoint_with_infinite_seed_is_a_data_error(
+        self, synth_dir, trained_dir, tmp_path, capsys
+    ):
+        bad = self.with_header(
+            trained_dir, tmp_path / "infinite_seed.knm", "seed", float("inf")
+        )
         code = run_cli(
             "classify", "--recording", str(self.first_recording(synth_dir)),
             "--checkpoint", str(bad),
@@ -368,6 +376,25 @@ class TestClassifyChunks:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "infinite_seed.knm" in err
+
+    def test_checkpoint_with_a_29_tib_layer_is_a_data_error(
+        self, synth_dir, trained_dir, tmp_path, capsys
+    ):
+        # np.zeros of these 4e12 weights would raise MemoryError at once
+        from kinemotion.nn import load_checkpoint
+
+        layers = load_checkpoint(trained_dir / "model.knm").net.layers
+        specs = [layer.spec() for layer in layers]
+        specs[14] = {"kind": "dense", "in_features": 10**12, "out_features": 4}
+        bad = self.with_header(trained_dir, tmp_path / "huge.knm", "layers", specs)
+        code = run_cli(
+            "classify", "--recording", str(self.first_recording(synth_dir)),
+            "--checkpoint", str(bad),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "huge.knm" in err
+        assert "Traceback" not in err
 
     @settings(
         max_examples=25,

@@ -458,8 +458,18 @@ class TestBulkSignalReader:
     def test_matches_reference_on_written_recording(self, tmp_path):
         path = write_fixture(tmp_path, make_recording(n=300, seed=3))
         assert outcome(_read_signal, path) == outcome(reference_read_signal, path)
-        times, samples = _read_signal(path)
-        assert times.flags.c_contiguous and samples.flags.c_contiguous
+
+    def test_parsed_samples_are_one_read_only_copy_on_both_paths(self, tmp_path):
+        rec = make_recording(n=300, seed=3)
+        plain = write_fixture(tmp_path, rec)
+        spaced = write_fixture(tmp_path, rec, stem="spaced")
+        header, body = spaced.read_bytes().split(b"\n", 1)
+        spaced.write_bytes(header + b"\n" + body.replace(b",", b", "))
+        assert dataset._read_plain_signal(spaced) is None  # the csv path reads it
+        for path in (plain, spaced):
+            samples = parse_recording(path).series.samples
+            assert samples.flags.c_contiguous and not samples.flags.writeable
+            assert samples.tobytes() == rec.series.samples.tobytes()
 
     @staticmethod
     def signal(tmp_path, *rows):

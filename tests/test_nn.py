@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kinemotion.errors import ContractError
+from kinemotion.errors import ContractError, InvalidDataError
 from kinemotion.nn import (
     LSTM,
     Adam,
@@ -19,12 +19,15 @@ from kinemotion.nn import (
     Network,
     ReLU,
     gradient_check,
+    layer_from_spec,
     load_checkpoint,
     max_relative_error,
     save_checkpoint,
     softmax,
     softmax_cross_entropy,
 )
+from kinemotion.nn import layers
+from kinemotion.nn.checkpoint import MAGIC
 
 
 def brute_force_conv1d(x, w, b, stride):
@@ -273,6 +276,14 @@ class TestAdam:
         with pytest.raises(ContractError):
             opt.step({"w": np.zeros(3)}, {"w": np.zeros(2)})
 
+    def test_shape_mismatch_updates_no_parameter(self):
+        params = {"a": np.zeros(2), "w": np.zeros(3)}
+        opt = Adam()
+        with pytest.raises(ContractError, match="at w"):
+            opt.step(params, {"a": np.ones(2), "w": np.zeros(2)})
+        np.testing.assert_array_equal(params["a"], [0.0, 0.0])
+        assert opt.t == 0
+
 
 def toy_network(seed, input_len=12):
     rng = np.random.default_rng(seed)
@@ -426,6 +437,37 @@ class TestNetworkDeterminism:
             assert grads[key].tobytes() == g.tobytes()
 
 
+ONE_OF_EACH_KIND = [
+    Conv1D(3, 4, kernel=3, stride=2),
+    ReLU(),
+    MaxPool1D(kernel=2, stride=2),
+    Dropout(0.25),
+    LSTM(4, 5),
+    Dense(5, 4),
+]
+
+
+class TestLayerSpec:
+    def test_covers_every_kind(self):
+        assert sorted(l.spec()["kind"] for l in ONE_OF_EACH_KIND) == sorted(layers._KINDS)
+
+    @pytest.mark.parametrize("layer", ONE_OF_EACH_KIND, ids=repr)
+    def test_spec_rebuilds_an_equal_layer(self, layer):
+        rebuilt = layer_from_spec(layer.spec())
+        assert rebuilt.spec() == layer.spec()
+        assert repr(rebuilt) == repr(layer)
+        assert {k: v.shape for k, v in rebuilt.params.items()} == {
+            k: v.shape for k, v in layer.params.items()
+        }
+
+    def test_spec_and_repr_read_the_constructor_arguments(self):
+        conv = ONE_OF_EACH_KIND[0]
+        assert conv.spec() == {
+            "kind": "conv1d", "in_channels": 3, "out_channels": 4, "kernel": 3, "stride": 2
+        }
+        assert repr(conv) == "Conv1D(in_channels=3, out_channels=4, kernel=3, stride=2)"
+
+
 class TestCheckpoint:
     def test_round_trip_restores_forward(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -438,18 +480,18 @@ class TestCheckpoint:
         np.testing.assert_array_equal(ckpt.net.forward(x), expected)
         assert ckpt.seed == 12
         assert ckpt.net.input_len == 12
-        assert path.read_bytes()[:4] == b"KNM1"
+        assert path.read_bytes()[:4] == MAGIC
 
     @staticmethod
     def write_with_header(path, header, payload=b""):
         blob = json.dumps(header).encode("utf-8")
-        path.write_bytes(b"KNM1" + struct.pack("<I", len(blob)) + blob + payload)
+        path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + payload)
 
     def test_rejects_file_shorter_than_header_length_field(self, tmp_path):
         from kinemotion.errors import InvalidDataError
 
         path = tmp_path / "short.knm"
-        path.write_bytes(b"KNM1\0\0")
+        path.write_bytes(MAGIC + b"\0\0")
         with pytest.raises(InvalidDataError):
             load_checkpoint(path)
 
@@ -457,11 +499,11 @@ class TestCheckpoint:
         from kinemotion.errors import InvalidDataError
 
         path = tmp_path / "long_header.knm"
-        path.write_bytes(b"KNM1" + struct.pack("<I", 1000) + b'{"seed": 0}')
+        path.write_bytes(MAGIC + struct.pack("<I", 1000) + b'{"seed": 0}')
         with pytest.raises(InvalidDataError, match="past the end"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("missing", ["seed", "layers", "params"])
+    @pytest.mark.parametrize("missing", ["seed", "layers"])
     def test_rejects_header_missing_key(self, tmp_path, missing):
         from kinemotion.errors import InvalidDataError
 
@@ -482,7 +524,6 @@ class TestCheckpoint:
         header = {
             "seed": 0,
             "layers": [{"kind": "conv1d", "in_channels": 3, "out_channels": 4}],
-            "params": [],
         }
         self.write_with_header(path, header)
         with pytest.raises(InvalidDataError, match="kernel"):
@@ -514,32 +555,45 @@ class TestCheckpoint:
         with pytest.raises(InvalidDataError, match="non-finite"):
             load_checkpoint(path)
 
-    def test_rejects_manifest_that_omits_a_parameter(self, tmp_path):
-        from kinemotion.errors import InvalidDataError
-
+    def test_payload_must_hold_exactly_the_layers_parameters(self, tmp_path):
         path, header, payload = self.saved_toy(tmp_path)
-        last = header["params"].pop()
-        assert last == {"key": "3.b", "shape": [4]}
-        self.write_with_header(path, header, payload[: -8 * 4])
-        with pytest.raises(InvalidDataError, match="omits 3.b"):
-            load_checkpoint(path)
+        longer = payload + bytes(range(1, 17))
+        for size in range(len(longer) + 1):
+            self.write_with_header(path, header, longer[:size])
+            if size == len(payload):
+                load_checkpoint(path)
+                continue
+            message = "truncated" if size < len(payload) else "trailing"
+            with pytest.raises(InvalidDataError, match=message):
+                load_checkpoint(path)
 
-    def test_rejects_negative_layer_index(self, tmp_path):
-        from kinemotion.errors import InvalidDataError
-
+    def test_rejects_layers_larger_than_the_payload_before_allocating(self, tmp_path):
+        # at 4e12 weights (29 TiB), np.zeros would raise MemoryError
         path, header, payload = self.saved_toy(tmp_path)
-        header["params"][-1]["key"] = "-1.b"  # would alias layer 3
+        header["layers"][3] = {"kind": "dense", "in_features": 10**12, "out_features": 4}
         self.write_with_header(path, header, payload)
-        with pytest.raises(InvalidDataError, match="-1.b"):
+        with pytest.raises(InvalidDataError, match="truncated parameter payload"):
             load_checkpoint(path)
 
-    def test_rejects_parameter_named_twice(self, tmp_path):
-        from kinemotion.errors import InvalidDataError
-
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ["relu"],
+            {},
+            {"kind": "conv2d"},
+            {"kind": ["relu"]},
+            {"kind": "maxpool1d", "kernel": 2.0, "stride": 1},
+            {"kind": "maxpool1d", "kernel": True, "stride": 1},
+            {"kind": "dropout", "p": "0.5"},
+        ],
+        ids=["not-a-dict", "no-kind", "unknown-kind", "unhashable-kind",
+             "float-kernel", "bool-kernel", "string-p"],
+    )
+    def test_rejects_malformed_layer_spec(self, tmp_path, spec):
         path, header, payload = self.saved_toy(tmp_path)
-        header["params"].append(header["params"][-1])
-        self.write_with_header(path, header, payload + payload[-8 * 4 :])
-        with pytest.raises(InvalidDataError, match="twice"):
+        header["layers"][1] = spec  # the ReLU, which holds no parameters
+        self.write_with_header(path, header, payload)
+        with pytest.raises(InvalidDataError, match="malformed checkpoint header"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
