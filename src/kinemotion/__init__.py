@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-kinematics : tri-axial series container, derivatives, stats, windowing
+kinematics : tri-axial series container, derivatives, windowing
 dataset    : recordings, file formats, splits, augmentation
 nn         : float64 network engine (layers, loss, Adam, grad check)
 classifier : architecture assembly, training loop, evaluation

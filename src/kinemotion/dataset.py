@@ -54,35 +54,20 @@ def is_key_movement(label: str) -> bool:
     return label in KEY_MOVEMENTS
 
 
-def annotation_value_fault(start, end, label):
-    """The first broken rule of one annotation as ``(field, message)``, naming
-    the annotation-file column at fault; None when there is none."""
-    if label not in ALL_LABELS:
-        return "label", f"unknown movement label {label!r}"
-    if not (0 <= start < end):
-        return "start_index", (
-            f"annotation range must satisfy 0 <= start < end, got [{start}, {end})"
-        )
-    return None
-
-
 @dataclass(frozen=True)
 class Annotation:
-    """Half-open sample range [start, end) carrying a movement label."""
+    """Half-open sample range [start, end) carrying a movement label; checked
+    by :func:`annotation_fault` where it joins a :class:`Recording`."""
 
     start: int
     end: int
     label: str
 
-    def __post_init__(self):
-        fault = annotation_value_fault(self.start, self.end, self.label)
-        if fault is not None:
-            raise ContractError(fault[1])
-
 
 def annotation_fault(annotations, n):
-    """The first annotation, in start order, that ends past ``n`` samples or
-    overlaps its predecessor; None when there is none.
+    """The first annotation, in start order, with an unknown label, a range
+    other than ``0 <= start < end <= n`` or a start before its predecessor's
+    end; None when there is none.
 
     Returned as ``(index, field, message)``: the index into
     ``annotations`` as given and the annotation-file column at fault.
@@ -90,6 +75,13 @@ def annotation_fault(annotations, n):
     prev = None
     for i in sorted(range(len(annotations)), key=lambda i: annotations[i].start):
         a = annotations[i]
+        if a.label not in ALL_LABELS:
+            return i, "label", f"unknown movement label {a.label!r}"
+        if not (0 <= a.start < a.end):
+            return i, "start_index", (
+                "annotation range must satisfy 0 <= start < end, "
+                f"got [{a.start}, {a.end})"
+            )
         if a.end > n:
             return i, "end_index", (
                 f"annotation [{a.start}, {a.end}) exceeds series length {n}"
@@ -136,15 +128,11 @@ class Recording:
         fault = metadata_fault(self.group, self.session, self.hand, self.scenario)
         if fault is not None:
             raise ContractError(fault[1])
-        anns = tuple(sorted(self.annotations, key=lambda a: a.start))
-        fault = annotation_fault(anns, len(self.series))
+        fault = annotation_fault(self.annotations, len(self.series))
         if fault is not None:
             raise ContractError(fault[2])
+        anns = tuple(sorted(self.annotations, key=lambda a: a.start))
         object.__setattr__(self, "annotations", anns)
-
-    def segment(self, annotation: Annotation) -> TimeSeries3D:
-        """The raw series slice covered by one annotation."""
-        return self.series.slice(annotation.start, annotation.end)
 
 
 def check_seed(seed, name="seed"):
@@ -343,7 +331,8 @@ def _read_signal(path):
 
 
 def _read_annotations(path):
-    """Line numbers and annotations of an annotation file, in file order."""
+    """Line numbers and annotations of an annotation file, in file order, with
+    only their integers checked: :func:`annotation_fault` checks the rest."""
     lines, anns = [], []
     body = read_csv_body(path, ["start_index", "end_index", "label"], "annotation")
     for line_no, row in enumerate(body, start=2):
@@ -353,9 +342,6 @@ def _read_annotations(path):
             )
         start = _parse_int(row[0], path, line_no, "start_index")
         end = _parse_int(row[1], path, line_no, "end_index")
-        fault = annotation_value_fault(start, end, row[2])
-        if fault is not None:
-            raise ParseError(fault[1], path=path, line=line_no, field=fault[0])
         lines.append(line_no)
         anns.append(Annotation(start, end, row[2]))
     return lines, anns
@@ -512,30 +498,28 @@ class EpochSet:
     """Key-movement epochs of one length W as arrays: ``x`` is C-contiguous
     (N, 3, W) float64, the network's (channel, time) layout.  Row i has class
     ``labels[i]`` (an index into KEY_MOVEMENTS) and came from samples
-    [starts[i], ends[i]) of subject ``source_ids[i]``.  ``skipped`` counts
-    the key segments shorter than 2 samples, which give no row."""
+    [starts[i], ends[i]) of its recording."""
 
     x: np.ndarray
     labels: np.ndarray
-    source_ids: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
-    skipped: int = 0
 
 
 def extract_epochs(recordings, w: int) -> EpochSet:
     """One length-``w`` epoch per key-movement annotation of a list of recordings.
 
     Rows follow the recordings, then their annotations.  Each M1..M4
-    segment is linearly resampled to ``w`` points, bit-identical to
-    ``kinematics.resample`` of it; distractors are ignored and segments
-    shorter than 2 samples skipped (counted).  The segments are counted
-    first; each recording's rows are then written in one vectorised step.
+    segment is linearly resampled to ``w`` points: ``np.interp`` over
+    source times 0..n-1 at ``linspace(0, n-1, w)``, per axis, with both
+    endpoints kept exactly.  Distractors are ignored and segments shorter
+    than 2 samples skipped.  The segments are counted first; each
+    recording's rows are then written in one vectorised step.
     """
     if w < 2:
         raise ContractError(f"epoch length must be >= 2, got {w}")
-    keys = [[a for a in r.annotations if is_key_movement(a.label)] for r in recordings]
-    used = [[a for a in anns if a.end - a.start >= 2] for anns in keys]
+    used = [[a for a in r.annotations if is_key_movement(a.label) and a.end - a.start > 1]
+            for r in recordings]
     flat = [a for anns in used for a in anns]
     starts = np.array([a.start for a in flat], dtype=np.int64)
     ends = np.array([a.end for a in flat], dtype=np.int64)
@@ -543,9 +527,9 @@ def extract_epochs(recordings, w: int) -> EpochSet:
     row = 0
     for rec, anns in zip(recordings, used):
         k, samples = slice(row, row + len(anns)), rec.series.samples
-        # resample reads np.interp over source times 0..n-1 at linspace(0, n-1, w):
-        # (y[j+1] - y[j]) * frac + y[j] on [j, j+1), but y[j] itself where
-        # frac == 0 (the endpoints; every point when n == w), even on overflow
+        # np.interp reads (y[j+1] - y[j]) * frac + y[j] on [j, j+1), but y[j]
+        # itself where frac == 0 (the endpoints; every point when n == w), even
+        # on overflow
         t = np.linspace(0.0, ends[k] - starts[k] - 1.0, w, axis=-1)
         j = t.astype(np.int64)
         frac = (t - j)[..., None]
@@ -555,15 +539,13 @@ def extract_epochs(recordings, w: int) -> EpochSet:
             y = (samples[np.minimum(at + 1, ends[k, None] - 1)] - y0) * frac + y0
         x[k] = np.where(frac == 0, y0, y).transpose(0, 2, 1)
         row += len(anns)
-    if not np.isfinite(x).all():  # a difference overflowed, as resample refuses
+    if not np.isfinite(x).all():  # a difference y[j+1] - y[j] overflowed
         raise InvalidDataError("samples contain NaN or Inf")
     return EpochSet(
         x=x,
         labels=np.array([KEY_MOVEMENTS.index(a.label) for a in flat], dtype=np.int64),
-        source_ids=np.repeat([r.subject_id for r in recordings], list(map(len, used))),
         starts=starts,
         ends=ends,
-        skipped=sum(map(len, keys)) - len(flat),
     )
 
 

@@ -75,11 +75,6 @@ class TimeSeries3D:
     def __len__(self):
         return self.samples.shape[0]
 
-    @property
-    def duration(self):
-        """Time spanned by the samples, (n - 1) / fs, in seconds."""
-        return (len(self) - 1) / self.fs
-
     def axis(self, axis):
         """Return one axis ('x', 'y' or 'z') as a 1-D array."""
         return self.samples[:, _axis_index(axis)]
@@ -105,16 +100,13 @@ def differentiate(series: TimeSeries3D) -> TimeSeries3D:
     applied twice it yields snap.  Length and sampling rate are
     preserved.
     """
-    x = series.samples
     if len(series) < 3:
         raise DegenerateInputError(
             f"need at least 3 samples to differentiate, got {len(series)}"
         )
-    if not np.all(np.isfinite(x)):
-        raise InvalidDataError("cannot differentiate a series with NaN or Inf")
     unit = _UNIT_CHAIN.get(series.unit, f"({series.unit})/s")
-    return TimeSeries3D(fs=series.fs, samples=central_difference(x, series.fs),
-                        order=series.order + 1, unit=unit)
+    return TimeSeries3D(fs=series.fs, order=series.order + 1, unit=unit,
+                        samples=central_difference(series.samples, series.fs))
 
 
 def central_difference(x: np.ndarray, fs: float) -> np.ndarray:
@@ -145,29 +137,3 @@ def window(series: TimeSeries3D, w: int, s: int) -> list[TimeSeries3D]:
     shorter than ``w`` yields an empty list.
     """
     return [series.slice(o, o + w) for o in window_offsets(len(series), w, s)]
-
-
-def resample(series: TimeSeries3D, target_len: int) -> TimeSeries3D:
-    """Linearly resample onto ``target_len`` points spanning the same duration.
-
-    First and last samples are preserved exactly; the sampling rate is
-    rescaled so the duration is unchanged.  Resampling to the source
-    length is the identity.
-    """
-    n = len(series)
-    if n < 2 or target_len < 2:
-        raise ContractError(
-            f"resample needs source and target lengths >= 2, got {n} -> {target_len}"
-        )
-    if target_len == n:
-        return series
-    src_t = np.arange(n, dtype=np.float64)
-    dst_t = np.linspace(0.0, n - 1, target_len)
-    out = np.column_stack(
-        [np.interp(dst_t, src_t, series.samples[:, i]) for i in range(3)]
-    )
-    # preserve endpoints exactly even if interp rounds at the edges
-    out[0] = series.samples[0]
-    out[-1] = series.samples[-1]
-    new_fs = series.fs * (target_len - 1) / (n - 1)
-    return TimeSeries3D(fs=new_fs, samples=out, order=series.order, unit=series.unit)

@@ -65,11 +65,11 @@ class SmoothnessSet:
 def smoothness_set(recordings) -> SmoothnessSet:
     """Statistics of every key-movement (M1-M4) segment of some recordings.
 
-    Rows follow the recordings, then their annotations.  A segment's jerk
-    is ``differentiate(recording.segment(annotation))``, by the
-    :func:`central_difference` that ``differentiate`` calls; a mean sums
-    left to right (ufunc accumulate).  A segment under 3 samples, or one whose statistics
-    overflow float64, is an error.
+    Rows follow the recordings, then their annotations.  The jerk of
+    annotation ``a`` is ``differentiate(recording.series.slice(a.start, a.end))``,
+    by the :func:`central_difference` that ``differentiate`` calls; a mean
+    sums left to right (ufunc accumulate).  A segment under 3 samples, or
+    one whose statistics overflow float64, is an error.
     """
     keys = [(r, a) for r in recordings for a in r.annotations if is_key_movement(a.label)]
     stats = np.empty((len(keys), len(MEASURES), len(STATISTICS), len(AXES)))
@@ -258,10 +258,6 @@ class ComparisonCell:
     ratio: float  # |patient| / |healthy|
     direction: str
 
-    def __post_init__(self):
-        if self.ratio < 0:
-            raise ContractError("ratio cannot be negative")
-
 
 @dataclass(frozen=True)
 class CohortComparison:
@@ -272,12 +268,6 @@ class CohortComparison:
 
     def cell(self, movement, statistic) -> ComparisonCell:
         return self.cells[(movement, statistic)]
-
-    def ratio(self, movement, statistic) -> float:
-        return self.cell(movement, statistic).ratio
-
-    def direction(self, movement, statistic) -> str:
-        return self.cell(movement, statistic).direction
 
     def report_parts(self):
         header = ["movement", "statistic", "healthy", "patient", "ratio", "direction"]
@@ -345,11 +335,6 @@ class ImprovementFlags:
 
     def improved(self, movement) -> frozenset:
         return self.movements[movement].improved_sessions
-
-    def movements_with_improvement(self):
-        return tuple(
-            m for m, ev in self.movements.items() if ev.improved_sessions
-        )
 
     def report_parts(self):
         rows, movements = [], {}

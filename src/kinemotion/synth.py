@@ -42,7 +42,6 @@ class SynthProfile:
     fs: float = 50.0
     n_submovements: int = 1
     noise_sigma: float = 0.0
-    speed_factor: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -56,8 +55,6 @@ class SynthProfile:
             raise ContractError("n_submovements must be >= 1")
         if self.noise_sigma < 0:
             raise ContractError("noise_sigma must be >= 0")
-        if self.speed_factor <= 0:
-            raise ContractError("speed_factor must be positive")
 
 
 def min_jerk_position(tau):
@@ -84,17 +81,15 @@ def gen_movement(profile: SynthProfile) -> TimeSeries3D:
 
     The trajectory is reversals+1 alternating reaches of the class's
     amplitude, each subdivided into ``n_submovements`` equal staggered
-    sub-reaches.  A ``speed_factor`` below 1 slows execution (the
-    segment lasts duration_s / speed_factor).  White noise of standard
-    deviation ``noise_sigma`` is added per axis.
+    sub-reaches, over ``duration_s``.  White noise of standard deviation
+    ``noise_sigma`` is added per axis.
     """
     mix, reversals = CLASS_SIGNATURES[profile.movement]
-    total_s = profile.duration_s / profile.speed_factor
-    n = int(round(total_s * profile.fs))
+    n = int(round(profile.duration_s * profile.fs))
     t = np.arange(n) / profile.fs
 
     legs = reversals + 1
-    leg_s = total_s / legs
+    leg_s = profile.duration_s / legs
     sub_s = leg_s / profile.n_submovements
     accel_1d = np.zeros(n)
     for leg in range(legs):

@@ -58,11 +58,11 @@ def test_criterion_1_cohort_jerk_contrast():
     started = time.monotonic()
     failures = []
     comparison = compare_cohort_table(load_table(bundled_table("cohort_jerk")))
-    ratio = comparison.ratio("M3", "mean")
+    ratio = comparison.cell("M3", "mean").ratio
     if abs(ratio - 0.708) > 0.005:
         failures.append(f"M3 mean-jerk ratio {ratio:.4f} not within 0.708 +- 0.005")
     for movement in KEY_MOVEMENTS:
-        if comparison.direction(movement, "max") != HEALTHY_HIGHER:
+        if comparison.cell(movement, "max").direction != HEALTHY_HIGHER:
             failures.append(f"{movement} max-jerk direction is not healthy-higher")
     report(
         1,
@@ -92,10 +92,14 @@ def test_criterion_2_session_evolution_tables():
             failures.append(f"patient 101 {movement} should not improve")
     if flags[102].improved("M4") != frozenset({2, 3, 4}):
         failures.append("patient 102 M4 should improve in sessions 2, 3, 4")
-    if len(flags[103].movements_with_improvement()) < 3:
+    improved = {
+        patient: [m for m, ev in f.movements.items() if ev.improved_sessions]
+        for patient, f in flags.items()
+    }
+    if len(improved[103]) < 3:
         failures.append("patient 103 should improve in at least three movements")
     for patient in (100, 102, 103):
-        if len(flags[patient].movements_with_improvement()) < 3:
+        if len(improved[patient]) < 3:
             failures.append(f"patient {patient} should improve in >= 3 movements")
     report(
         2,
@@ -119,7 +123,7 @@ def test_criterion_3_squared_jerk_rendering():
         failures.append(f"M1 patient mean rendered as {m1['mean_patient']}")
     comparison = compare_cohort_table(table)
     for movement in KEY_MOVEMENTS:
-        if comparison.direction(movement, "mean") != HEALTHY_HIGHER:
+        if comparison.cell(movement, "mean").direction != HEALTHY_HIGHER:
             failures.append(f"{movement} squared-jerk mean should be healthy-higher")
     report(
         3,

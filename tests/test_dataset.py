@@ -16,7 +16,7 @@ from kinemotion.dataset import (
     Recording,
     SplitConfig,
     _read_signal,
-    annotation_value_fault,
+    annotation_fault,
     augment_offsets,
     extract_epochs,
     metadata_fault,
@@ -26,7 +26,7 @@ from kinemotion.dataset import (
     write_recording,
 )
 from kinemotion.errors import ContractError, InvalidDataError, ParseError
-from kinemotion.kinematics import TimeSeries3D, resample
+from kinemotion.kinematics import TimeSeries3D
 
 
 def make_recording(n=200, fs=50.0, annotations=(), seed=0, group="healthy", session=1):
@@ -68,10 +68,9 @@ class TestRecordingModel:
         assert rec.session == 3
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(ContractError):
-            Annotation(0, 10, "M5")
-        with pytest.raises(ContractError):
-            Annotation(0, 10, "R20")
+        for label in ("M5", "R20"):
+            with pytest.raises(ContractError, match=f"unknown movement label '{label}'"):
+                make_recording(annotations=[Annotation(0, 10, label)])
 
 
 class TestRulesStatedOnce:
@@ -111,21 +110,36 @@ class TestRulesStatedOnce:
         assert str(model_err.value) in str(parse_err.value)
 
     @pytest.mark.parametrize(
-        "row, field",
-        [("4,30,M9", "label"), ("30,4,M1", "start_index"), ("-1,4,M1", "start_index")],
+        "rows, line, field",
+        [
+            (["1,3,R1", "4,30,M9"], 3, "label"),
+            (["1,3,R1", "30,4,M1"], 3, "start_index"),
+            (["1,3,R1", "-1,4,M1"], 3, "start_index"),
+            (["1,3,R1", "4,60,M1"], 3, "end_index"),
+            (["1,30,R1", "20,40,M2"], 3, "start_index"),
+            # first in start order but last in file order
+            (["20,30,R1", "35,40,M2", "2,8,M9"], 4, "label"),
+        ],
+        ids=["4,30,M9-label", "30,4,M1-start_index", "-1,4,M1-start_index",
+             "4,60,M1-end_index", "20,40,M2-overlap", "2,8,M9-label-in-start-order"],
     )
-    def test_annotation(self, tmp_path, row, field):
-        start, end, label = row.split(",")
-        assert annotation_value_fault(int(start), int(end), label)[0] == field
-        with pytest.raises(ContractError) as model_err:
+    def test_annotation(self, tmp_path, rows, line, field):
+        annotations = [
             Annotation(int(start), int(end), label)
+            for start, end, label in (row.split(",") for row in rows)
+        ]
+        i, fault_field, message = annotation_fault(annotations, 50)
+        assert (i + 2, fault_field) == (line, field)  # file line of row i
+        with pytest.raises(ContractError) as model_err:
+            make_recording(n=50, annotations=annotations)
+        assert str(model_err.value) == message
         sig = write_fixture(tmp_path, make_recording(n=50))
         ann = tmp_path / "rec.annotations.csv"
-        ann.write_text(f"start_index,end_index,label\n1,3,R1\n{row}\n")
+        ann.write_text("start_index,end_index,label\n" + "".join(f"{r}\n" for r in rows))
         with pytest.raises(ParseError) as parse_err:
             parse_recording(sig)
-        assert parse_err.value.line == 3 and parse_err.value.field == field
-        assert str(model_err.value) in str(parse_err.value)
+        assert parse_err.value.line == line and parse_err.value.field == field
+        assert message in str(parse_err.value)
 
 
 class TestParseWriteRoundTrip:
@@ -218,6 +232,15 @@ class TestMalformedCorpus:
             parse_recording(sig)
         assert err.value.line == 2
         assert err.value.field == "label"
+
+    def test_annotation_rules_checked_after_every_row_parses(self, tmp_path):
+        # the bad label on line 2 is found in the start-order pass, which
+        # runs only once the integers of line 3 have parsed
+        sig, ann, _ = self._paths(tmp_path)
+        ann.write_text("start_index,end_index,label\n4,30,M9\nx,40,M2\n")
+        with pytest.raises(ParseError, match="not an integer") as err:
+            parse_recording(sig)
+        assert err.value.line == 3 and err.value.field == "start_index"
 
     def test_unknown_metadata_key_rejected(self, tmp_path):
         sig, _, meta = self._paths(tmp_path)
@@ -555,6 +578,84 @@ class TestMalformedBytes:
         assert err.value.line == 4
 
 
+def resample(series: TimeSeries3D, target_len: int) -> TimeSeries3D:
+    """Linearly resample onto ``target_len`` points spanning the same duration:
+    the per-segment reference that extract_epochs is checked against.
+
+    First and last samples are preserved exactly; the sampling rate is
+    rescaled so the duration is unchanged.  Resampling to the source
+    length is the identity.
+    """
+    n = len(series)
+    if n < 2 or target_len < 2:
+        raise ContractError(
+            f"resample needs source and target lengths >= 2, got {n} -> {target_len}"
+        )
+    if target_len == n:
+        return series
+    src_t = np.arange(n, dtype=np.float64)
+    dst_t = np.linspace(0.0, n - 1, target_len)
+    out = np.column_stack(
+        [np.interp(dst_t, src_t, series.samples[:, i]) for i in range(3)]
+    )
+    # preserve endpoints exactly even if interp rounds at the edges
+    out[0] = series.samples[0]
+    out[-1] = series.samples[-1]
+    new_fs = series.fs * (target_len - 1) / (n - 1)
+    return TimeSeries3D(fs=new_fs, samples=out, order=series.order, unit=series.unit)
+
+
+def series_from_axis(values, fs=50.0):
+    values = np.asarray(values, dtype=float)
+    return TimeSeries3D(fs=fs, samples=np.column_stack([values] * 3))
+
+
+class TestResample:
+    def test_identity_at_same_length(self):
+        rng = np.random.default_rng(9)
+        ts = TimeSeries3D(fs=50.0, samples=rng.normal(size=(17, 3)))
+        out = resample(ts, 17)
+        np.testing.assert_array_equal(out.samples, ts.samples)
+        assert out.fs == ts.fs
+
+    def test_linear_ramp_gets_half_steps(self):
+        ts = series_from_axis(np.arange(5.0))
+        out = resample(ts, 9)
+        np.testing.assert_allclose(out.axis("x"), np.arange(0.0, 4.5, 0.5))
+
+    def test_endpoints_preserved_exactly(self):
+        rng = np.random.default_rng(13)
+        ts = TimeSeries3D(fs=50.0, samples=rng.normal(size=(40, 3)))
+        out = resample(ts, 101)
+        np.testing.assert_array_equal(out.samples[0], ts.samples[0])
+        np.testing.assert_array_equal(out.samples[-1], ts.samples[-1])
+
+    def test_duration_preserved(self):
+        ts = series_from_axis(np.arange(50.0), fs=50.0)
+        out = resample(ts, 128)
+        assert (len(out) - 1) / out.fs == pytest.approx((len(ts) - 1) / ts.fs)
+
+    def test_sine_against_analytic_values(self):
+        # 1 Hz sine at 50 Hz, upsampled to 128 points: linear
+        # interpolation error stays below 1% of the unit amplitude
+        fs = 50.0
+        t = np.arange(0.0, 1.0, 1.0 / fs)
+        ts = series_from_axis(np.sin(2 * np.pi * t), fs=fs)
+        out = resample(ts, 128)
+        t_new = np.linspace(0.0, t[-1], 128)
+        np.testing.assert_allclose(
+            out.axis("x"), np.sin(2 * np.pi * t_new), atol=0.01
+        )
+
+    def test_degenerate_lengths_rejected(self):
+        ts = series_from_axis(np.arange(5.0))
+        with pytest.raises(ContractError):
+            resample(ts, 1)
+        short = TimeSeries3D(fs=50.0, samples=np.zeros((1, 3)))
+        with pytest.raises(ContractError):
+            resample(short, 10)
+
+
 class TestExtractEpochs:
     def test_counts_shapes_and_labels(self):
         rec = make_recording(
@@ -566,8 +667,8 @@ class TestExtractEpochs:
             ],
         )
         result = extract_epochs([rec], w=128)
-        assert len(result.x) == 3
-        assert result.skipped == 0
+        assert len(result.x) == len(result.labels) == 3
+        assert list(result.starts) == [0, 100, 220]
         assert result.x.shape == (3, 3, 128) and result.x.flags.c_contiguous
         assert all(KEY_MOVEMENTS[k] == "M2" for k in result.labels)
 
@@ -582,8 +683,8 @@ class TestExtractEpochs:
             n=100, annotations=[Annotation(0, 1, "M1"), Annotation(10, 60, "M1")]
         )
         result = extract_epochs([rec], w=32)
-        assert len(result.x) == 1
-        assert result.skipped == 1
+        assert len(result.x) == len(result.labels) == 1
+        assert list(result.starts) == [10]
 
     def test_content_equals_resampled_slice(self):
         rec = make_recording(n=300, annotations=[Annotation(17, 140, "M3")])
@@ -603,10 +704,9 @@ class TestExtractEpochs:
         )
         result = extract_epochs([first, second], w=40)
         assert [KEY_MOVEMENTS[k] for k in result.labels] == ["M4", "M1", "M2"]
-        assert list(result.source_ids) == ["S01", "S01", "S02"]
+        assert len(result.x) == 3  # the 1-sample M1 segment gives no row
         assert list(result.starts) == [5, 130, 0]
         assert list(result.ends) == [50, 190, 150]
-        assert result.skipped == 1
         np.testing.assert_array_equal(
             result.x[2], resample(second.series, 40).samples.T
         )
@@ -648,14 +748,15 @@ def key_segments(draw):
 
 
 class TestVectorisedExtraction:
-    """extract_epochs against kinematics.resample, the per-segment reference."""
+    """extract_epochs against resample, the per-segment reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=key_segments())
     def test_rows_equal_resample_bit_for_bit(self, case):
         w, rec = case
         try:
-            want = [resample(rec.segment(a), w).samples.T for a in rec.annotations]
+            want = [resample(rec.series.slice(a.start, a.end), w).samples.T
+                    for a in rec.annotations]
         except InvalidDataError:  # a neighbour difference overflowed
             with pytest.raises(InvalidDataError):
                 extract_epochs([rec], w)

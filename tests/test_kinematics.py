@@ -1,4 +1,4 @@
-"""Derivative chain, statistics, windowing and resampling."""
+"""Derivative chain, statistics and windowing."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from kinemotion.kinematics import (
     SNAP,
     TimeSeries3D,
     differentiate,
-    resample,
     window,
     window_offsets,
 )
@@ -231,50 +230,3 @@ class TestWindow:
         assert np.shares_memory(ep.samples, ts.samples)
         with pytest.raises(ValueError):
             ep.samples[0, 0] = 1.0
-
-
-class TestResample:
-    def test_identity_at_same_length(self):
-        rng = np.random.default_rng(9)
-        ts = TimeSeries3D(fs=50.0, samples=rng.normal(size=(17, 3)))
-        out = resample(ts, 17)
-        np.testing.assert_array_equal(out.samples, ts.samples)
-        assert out.fs == ts.fs
-
-    def test_linear_ramp_gets_half_steps(self):
-        ts = series_from_axis(np.arange(5.0))
-        out = resample(ts, 9)
-        np.testing.assert_allclose(out.axis("x"), np.arange(0.0, 4.5, 0.5))
-
-    def test_endpoints_preserved_exactly(self):
-        rng = np.random.default_rng(13)
-        ts = TimeSeries3D(fs=50.0, samples=rng.normal(size=(40, 3)))
-        out = resample(ts, 101)
-        np.testing.assert_array_equal(out.samples[0], ts.samples[0])
-        np.testing.assert_array_equal(out.samples[-1], ts.samples[-1])
-
-    def test_duration_preserved(self):
-        ts = series_from_axis(np.arange(50.0), fs=50.0)
-        out = resample(ts, 128)
-        assert out.duration == pytest.approx(ts.duration)
-
-    def test_sine_against_analytic_values(self):
-        # 1 Hz sine at 50 Hz, upsampled to 128 points: linear
-        # interpolation error stays below 1% of the unit amplitude
-        fs = 50.0
-        t = np.arange(0.0, 1.0, 1.0 / fs)
-        ts = series_from_axis(np.sin(2 * np.pi * t), fs=fs)
-        out = resample(ts, 128)
-        t_new = np.linspace(0.0, t[-1], 128)
-        np.testing.assert_allclose(
-            out.axis("x"), np.sin(2 * np.pi * t_new), atol=0.01
-        )
-
-    def test_degenerate_lengths_rejected(self):
-        ts = series_from_axis(np.arange(5.0))
-        with pytest.raises(ContractError):
-            resample(ts, 1)
-        short = TimeSeries3D(fs=50.0, samples=np.zeros((1, 3)))
-        with pytest.raises(ContractError):
-            resample(short, 10)
-

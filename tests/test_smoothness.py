@@ -88,7 +88,7 @@ def reference_stats(recordings):
     for rec in recordings:
         for a in rec.annotations:
             if is_key_movement(a.label):
-                jerk = differentiate(rec.segment(a)).samples
+                jerk = differentiate(rec.series.slice(a.start, a.end)).samples
                 rows.append([
                     [np.add.accumulate(v, axis=0)[-1] / len(v), v.max(axis=0), v.min(axis=0)]
                     for v in (jerk, jerk**2)
@@ -269,15 +269,15 @@ class TestCohortCompare:
         # every movement
         table = load_table(bundled_table("cohort_jerk"))
         comparison = compare_cohort_table(table)
-        assert comparison.ratio("M3", "mean") == pytest.approx(0.708, abs=0.005)
+        assert comparison.cell("M3", "mean").ratio == pytest.approx(0.708, abs=0.005)
         for movement in ("M1", "M2", "M3", "M4"):
-            assert comparison.direction(movement, "max") == HEALTHY_HIGHER
+            assert comparison.cell(movement, "max").direction == HEALTHY_HIGHER
 
     def test_reference_squared_jerk_means_all_healthy_higher(self):
         table = load_table(bundled_table("cohort_squared_jerk"))
         comparison = compare_cohort_table(table)
         for movement in ("M1", "M2", "M3", "M4"):
-            assert comparison.direction(movement, "mean") == HEALTHY_HIGHER
+            assert comparison.cell(movement, "mean").direction == HEALTHY_HIGHER
 
 
 class TestSessionEvolution:
@@ -370,7 +370,8 @@ class TestReferenceEvolutionTables:
     def test_three_patients_improve_in_three_or_more_movements(self):
         for name in ("patient_100", "patient_102", "patient_103"):
             flags = evolution_from_table(load_table(bundled_table(name)))
-            assert len(flags.movements_with_improvement()) >= 3, name
+            improved = [m for m in flags.movements if flags.improved(m)]
+            assert len(improved) >= 3, name
 
 
 class TestLoadTable:
@@ -568,7 +569,7 @@ class TestReportJson:
 
     def test_infinite_ratio_is_null_in_json(self):
         comparison = self.zero_healthy_comparison()
-        assert comparison.ratio("M1", "mean") == float("inf")
+        assert comparison.cell("M1", "mean").ratio == float("inf")
 
         def no_constants(name):
             raise AssertionError(f"non-standard JSON constant {name}")

@@ -21,7 +21,7 @@ from kinemotion.synth import (
 def analytic_jerk_axis(profile, axis):
     """Exact jerk of a noise-free single-sub-reach profile, per sample."""
     mix, reversals = CLASS_SIGNATURES[profile.movement]
-    total = profile.duration_s / profile.speed_factor
+    total = profile.duration_s
     n = int(round(total * profile.fs))
     t = np.arange(n) / profile.fs
     legs = reversals + 1
@@ -136,11 +136,6 @@ class TestDeterminismAndValidation:
         with pytest.raises(ContractError):
             SynthProfile(movement="M1", noise_sigma=-0.1)
 
-    def test_speed_factor_stretches_duration(self):
-        fast = gen_movement(SynthProfile(movement="M1", duration_s=2.0))
-        slow = gen_movement(SynthProfile(movement="M1", duration_s=2.0, speed_factor=0.5))
-        assert len(slow) == 2 * len(fast)
-
 
 class TestPatientVariant:
     def test_degenerate_variant_equals_healthy(self):
@@ -182,7 +177,7 @@ class TestPatientVariant:
     def test_slower_execution_lowers_squared_jerk(self):
         # the observed clinical inversion: slower movement, lower level
         base = SynthProfile(movement="M1", duration_s=2.0)
-        slow = SynthProfile(movement="M1", duration_s=2.0, speed_factor=0.5)
+        slow = SynthProfile(movement="M1", duration_s=4.0)
         assert mean_squared_jerk_x(gen_movement(slow)) < mean_squared_jerk_x(
             gen_movement(base)
         )
@@ -224,7 +219,7 @@ class TestGenDataset:
         feats, labels, rec_ids = [], [], []
         for k, rec in enumerate(recs):
             for ann in rec.annotations:
-                seg = rec.segment(ann)
+                seg = rec.series.slice(ann.start, ann.end)
                 f = energy_features(seg)
                 feats.append(f / np.linalg.norm(f))
                 labels.append(ann.label)
