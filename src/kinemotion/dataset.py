@@ -48,6 +48,7 @@ SCENARIOS = ("L1", "L2")
 
 _META_KEYS = ("subject_id", "group", "session", "hand", "scenario", "fs_hz")
 _SIGNAL_HEADER = ["t", "ax", "ay", "az"]
+WRITE_BLOCK = 1024  # signal rows per format call of write_recording
 
 
 def is_key_movement(label: str) -> bool:
@@ -451,16 +452,29 @@ def write_recording(rec: Recording, path) -> None:
 
     Floats are written with ``repr`` (shortest round-trip form), so
     write(parse(f)) is byte-identical for files this writer produced.
+    The signal is formatted with one ``%``-call per block of at most
+    WRITE_BLOCK rows, its time column ``np.arange(n) / fs``.  A series the
+    reader would refuse or misread (fewer than 2 samples, or anything but
+    acceleration in m/s^2) raises ContractError before any file is made.
     """
+    series = rec.series
+    if len(series) < 2:
+        raise ContractError(f"signal needs at least 2 rows, got {len(series)}")
+    if (series.order, series.unit) != (ACCELERATION, "m/s^2"):
+        raise ContractError("only acceleration in m/s^2 can be written, got "
+                            f"order {series.order} in {series.unit}")
     sig_path, ann_path, meta_path = _sidecar_paths(path)
     sig_path.parent.mkdir(parents=True, exist_ok=True)
 
-    buf = io.StringIO()
-    buf.write("t,ax,ay,az\n")
-    fs = rec.series.fs
-    for i, (x, y, z) in enumerate(rec.series.samples):
-        buf.write(f"{i / fs!r},{float(x)!r},{float(y)!r},{float(z)!r}\n")
-    sig_path.write_text(buf.getvalue(), encoding="utf-8")
+    fs = series.fs
+    rows = np.empty((len(series), 4))
+    rows[:, 0] = np.arange(len(series)) / fs
+    rows[:, 1:] = series.samples
+    with sig_path.open("w", encoding="utf-8") as f:
+        f.write("t,ax,ay,az\n")
+        for block in range(0, len(rows), WRITE_BLOCK):
+            chunk = rows[block:block + WRITE_BLOCK]
+            f.write("%r,%r,%r,%r\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
     lines = ["start_index,end_index,label"]
     lines += [f"{a.start},{a.end},{a.label}" for a in rec.annotations]

@@ -67,22 +67,16 @@ def min_jerk_acceleration(tau):
     return 60.0 * tau - 180.0 * tau**2 + 120.0 * tau**3
 
 
-def _stroke_acceleration(t, t0, duration, displacement):
-    """Analytic acceleration of one reach of given displacement/duration."""
-    tau = (t - t0) / duration
-    inside = (tau >= 0.0) & (tau < 1.0)
-    out = np.zeros_like(t)
-    out[inside] = (displacement / duration**2) * min_jerk_acceleration(tau[inside])
-    return out
-
-
 def gen_movement(profile: SynthProfile) -> TimeSeries3D:
     """Acceleration series for one movement segment; deterministic in seed.
 
     The trajectory is reversals+1 alternating reaches of the class's
     amplitude, each subdivided into ``n_submovements`` equal staggered
     sub-reaches, over ``duration_s``.  White noise of standard deviation
-    ``noise_sigma`` is added per axis.
+    ``noise_sigma`` is added per axis.  All sub-reaches are laid out in
+    one (strokes, n) array, each evaluated on its own samples only, and
+    summed in stroke order onto a zero row, so the result equals adding
+    the strokes one by one into zeros, bit for bit (signed zeros too).
     """
     mix, reversals = CLASS_SIGNATURES[profile.movement]
     n = int(round(profile.duration_s * profile.fs))
@@ -91,17 +85,16 @@ def gen_movement(profile: SynthProfile) -> TimeSeries3D:
     legs = reversals + 1
     leg_s = profile.duration_s / legs
     sub_s = leg_s / profile.n_submovements
-    accel_1d = np.zeros(n)
-    for leg in range(legs):
-        direction = 1.0 if leg % 2 == 0 else -1.0
-        for sub in range(profile.n_submovements):
-            t0 = leg * leg_s + sub * sub_s
-            accel_1d += _stroke_acceleration(
-                t,
-                t0,
-                sub_s,
-                direction * profile.amplitude / profile.n_submovements,
-            )
+    strokes = [(leg * leg_s + sub * sub_s,
+                (1.0 if leg % 2 == 0 else -1.0) * profile.amplitude
+                / profile.n_submovements / sub_s**2)
+               for leg in range(legs) for sub in range(profile.n_submovements)]
+    t0, scale = np.array(strokes).T
+    tau = (t - t0[:, None]) / sub_s
+    k, i = np.nonzero((tau >= 0.0) & (tau < 1.0))
+    accel = np.zeros((len(strokes) + 1, n))
+    accel[k + 1, i] = scale[k] * min_jerk_acceleration(tau[k, i])
+    accel_1d = accel.sum(axis=0)
 
     samples = accel_1d[:, None] * np.asarray(mix)[None, :]
     if profile.noise_sigma > 0:

@@ -1,6 +1,7 @@
 """Recording ingestion, round-trips, splits and augmentation."""
 
 import csv
+import io
 import warnings
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from kinemotion import dataset
 from kinemotion.dataset import (
     Annotation,
     KEY_MOVEMENTS,
+    WRITE_BLOCK,
     Recording,
     SplitConfig,
     _read_signal,
@@ -26,7 +28,7 @@ from kinemotion.dataset import (
     write_recording,
 )
 from kinemotion.errors import ContractError, InvalidDataError, ParseError
-from kinemotion.kinematics import TimeSeries3D
+from kinemotion.kinematics import TimeSeries3D, differentiate
 
 
 def make_recording(n=200, fs=50.0, annotations=(), seed=0, group="healthy", session=1):
@@ -168,6 +170,77 @@ class TestParseWriteRoundTrip:
             tmp_path / "b.annotations.csv"
         ).read_bytes()
         assert (tmp_path / "a.meta").read_bytes() == (tmp_path / "b.meta").read_bytes()
+
+
+def reference_signal_text(rec):
+    """The per-row signal writer write_recording replaced: one f-string of
+    four ``repr``s per row.  The reference that its signal files are checked
+    against, byte for byte."""
+    buf = io.StringIO()
+    buf.write("t,ax,ay,az\n")
+    fs = rec.series.fs
+    for i, (x, y, z) in enumerate(rec.series.samples):
+        buf.write(f"{i / fs!r},{float(x)!r},{float(y)!r},{float(z)!r}\n")
+    return buf.getvalue()
+
+
+_WRITTEN_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-5, -1e-5, 1e16, -1e16, 1e300, -1e300, 0.1]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def written_recordings(draw):
+    """Recordings of 2 rows to past two blocks, their samples a drawn list of
+    values (signed zeros, subnormals, huge and tiny) repeated over the rows."""
+    n = draw(st.integers(2, 40) | st.integers(WRITE_BLOCK - 2, 2 * WRITE_BLOCK + 3))
+    values = draw(st.lists(_WRITTEN_VALUES, min_size=1, max_size=40))
+    fs = draw(st.sampled_from([3.0, 7.0, 0.1, 1000.0, 50.0]) | st.floats(1e-3, 1e5))
+    return Recording(
+        subject_id="S01", group="healthy", session=1, hand="dominant",
+        scenario="L1",
+        series=TimeSeries3D(fs=fs, samples=np.resize(values, (n, 3))),
+        annotations=(),
+    )
+
+
+class TestBlockWriter:
+    """write_recording against the per-row reference, and what it refuses."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(rec=written_recordings())
+    def test_signal_equals_per_row_reference_byte_for_byte(self, tmp_path, rec):
+        path = tmp_path / "rec.csv"
+        write_recording(rec, path)
+        assert path.read_bytes() == reference_signal_text(rec).encode("utf-8")
+        # and it reads back bit for bit, so the sign of zero counts
+        parsed = parse_recording(path).series
+        assert parsed.fs == rec.series.fs
+        assert np.array_equal(parsed.samples.view(np.int64),
+                              rec.series.samples.view(np.int64))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_samples_refused_before_any_file(self, tmp_path, n):
+        # parse_recording refuses such a file: "signal needs at least 2 rows"
+        rec = make_recording(n=n)
+        with pytest.raises(ContractError, match="at least 2 rows"):
+            write_recording(rec, tmp_path / "out" / "rec.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("series", [
+        differentiate(make_recording().series),  # jerk, order 3 in m/s^3
+        replace(make_recording().series, unit="g"),
+    ], ids=["jerk", "unit_g"])
+    def test_non_acceleration_refused_before_any_file(self, tmp_path, series):
+        # parse_recording would read it back as acceleration in m/s^2
+        rec = replace(make_recording(), series=series)
+        with pytest.raises(ContractError, match="acceleration in m/s\\^2"):
+            write_recording(rec, tmp_path / "out" / "rec.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMalformedCorpus:

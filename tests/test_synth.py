@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinemotion.dataset import KEY_MOVEMENTS, Annotation, Recording, parse_recording
 from kinemotion.errors import ContractError
-from kinemotion.kinematics import differentiate
+from kinemotion.kinematics import ACCELERATION, TimeSeries3D, differentiate
 from kinemotion.smoothness import smoothness_set
 from kinemotion.synth import (
     CLASS_SIGNATURES,
@@ -14,8 +16,55 @@ from kinemotion.synth import (
     gen_movement,
     gen_patient_variant,
     healthy_counterpart,
+    min_jerk_acceleration,
     min_jerk_position,
 )
+
+
+def reference_gen_movement(profile):
+    """The per-stroke loop gen_movement replaced: each sub-reach evaluated
+    on its own samples and added into zeros in turn.  The reference that
+    gen_movement is checked against, bit for bit."""
+    mix, reversals = CLASS_SIGNATURES[profile.movement]
+    n = int(round(profile.duration_s * profile.fs))
+    t = np.arange(n) / profile.fs
+    legs = reversals + 1
+    leg_s = profile.duration_s / legs
+    sub_s = leg_s / profile.n_submovements
+    accel_1d = np.zeros(n)
+    for leg in range(legs):
+        direction = 1.0 if leg % 2 == 0 else -1.0
+        for sub in range(profile.n_submovements):
+            displacement = direction * profile.amplitude / profile.n_submovements
+            tau = (t - (leg * leg_s + sub * sub_s)) / sub_s
+            inside = (tau >= 0.0) & (tau < 1.0)
+            stroke = np.zeros_like(t)
+            stroke[inside] = (displacement / sub_s**2) * min_jerk_acceleration(
+                tau[inside]
+            )
+            accel_1d += stroke
+    samples = accel_1d[:, None] * np.asarray(mix)[None, :]
+    if profile.noise_sigma > 0:
+        rng = np.random.default_rng(profile.seed)
+        samples = samples + rng.normal(0.0, profile.noise_sigma, size=samples.shape)
+    return TimeSeries3D(fs=profile.fs, samples=samples, order=ACCELERATION)
+
+
+@st.composite
+def synth_profiles(draw):
+    """Profiles of every movement and 1-8 sub-reaches, with or without noise,
+    over 16 to 4,000 samples; amplitude 0 makes strokes of signed zeros."""
+    fs = draw(st.sampled_from([50.0, 3.0, 7.0, 1000.0]) | st.floats(0.5, 2000.0))
+    duration = draw(st.floats(16.5 / fs, 4000.0 / fs))
+    return SynthProfile(
+        movement=draw(st.sampled_from(KEY_MOVEMENTS)),
+        duration_s=duration,
+        amplitude=draw(st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-5.0, 5.0)),
+        fs=fs,
+        n_submovements=draw(st.integers(1, 8)),
+        noise_sigma=draw(st.sampled_from([0.0]) | st.floats(1e-3, 1.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
 
 
 def analytic_jerk_axis(profile, axis):
@@ -137,6 +186,31 @@ class TestDeterminismAndValidation:
             SynthProfile(movement="M1", noise_sigma=-0.1)
 
 
+class TestBroadcastGenerator:
+    """gen_movement against the per-stroke reference_gen_movement."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(profile=synth_profiles())
+    def test_equals_per_stroke_reference_bit_for_bit(self, profile):
+        got, want = gen_movement(profile), reference_gen_movement(profile)
+        # int64 views, so that -0.0 and 0.0 differ
+        assert got.samples.shape == want.samples.shape
+        assert np.array_equal(got.samples.view(np.int64), want.samples.view(np.int64))
+        assert (got.fs, got.order, got.unit) == (want.fs, want.order, want.unit)
+
+    def test_single_stroke_sums_onto_zero_like_the_loop(self, monkeypatch):
+        # a reach of negative amplitude starts at -0.0; the loop adds it into
+        # zeros (0.0 + -0.0 = 0.0).  Every real class has two or more strokes,
+        # whose outside samples are 0.0 anyway, so only one stroke shows it;
+        # and, were the zero row lost, only on a numpy whose sum starts from
+        # the first row rather than from 0.0 (numpy 2.4 starts from 0.0).
+        monkeypatch.setitem(CLASS_SIGNATURES, "M1", ((1.0, 0.5, 0.25), 0))
+        profile = SynthProfile(movement="M1", amplitude=-1.0)
+        got, want = gen_movement(profile), reference_gen_movement(profile)
+        assert want.samples[0].tobytes() == np.zeros(3).tobytes()
+        assert np.array_equal(got.samples.view(np.int64), want.samples.view(np.int64))
+
+
 class TestPatientVariant:
     def test_degenerate_variant_equals_healthy(self):
         profile = SynthProfile(movement="M3", n_submovements=1, noise_sigma=0.0)
@@ -187,6 +261,9 @@ def energy_features(series):
     return np.mean(series.samples**2, axis=0)
 
 
+META = ("subject_id", "group", "session", "hand", "scenario")
+
+
 class TestGenDataset:
     def test_balanced_counts(self):
         recs = gen_dataset(n_per_class=10, seed=7)
@@ -196,12 +273,21 @@ class TestGenDataset:
             assert labels.count(movement) == 10
 
     def test_round_trips_through_files(self, tmp_path):
+        # every file parses back to its in-memory recording, bit for bit
         recs = gen_dataset(n_per_class=3, seed=11, out_dir=tmp_path)
-        files = sorted(p for p in tmp_path.glob("*.csv") if ".annotations" not in p.name)
-        assert len(files) == len(recs)
-        for path in files:
+        paths = [tmp_path / f"{r.subject_id}_s{r.session}_{k:04d}.csv"
+                 for k, r in enumerate(recs)]
+        assert sorted(p for p in tmp_path.glob("*.csv")
+                      if ".annotations" not in p.name) == sorted(paths)
+        for rec, path in zip(recs, paths):
             parsed = parse_recording(path)
-            assert len(parsed.annotations) == 4
+            assert np.array_equal(parsed.series.samples.view(np.int64),
+                                  rec.series.samples.view(np.int64))
+            assert (parsed.series.fs, parsed.series.order, parsed.series.unit) == (
+                rec.series.fs, rec.series.order, rec.series.unit)
+            assert parsed.annotations == rec.annotations and len(rec.annotations) == 4
+            assert [getattr(parsed, key) for key in META] == [
+                getattr(rec, key) for key in META]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
