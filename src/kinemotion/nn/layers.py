@@ -8,11 +8,13 @@ Conventions
   the LSTM consumes that layout directly and emits its final hidden
   state as (B, hidden) for the dense head, which returns (B, out).
 * ``forward(x, train=..., rng=...)`` caches whatever the matching
-  ``backward(dout)`` needs; backward must follow a forward on the same
-  instance and returns the gradient w.r.t. the layer input while
-  filling ``self.grads`` (same keys/shapes as ``self.params``), summed
-  over the batch.  The loss divides by B, so the sum is the gradient
-  of the batch-mean loss.
+  ``backward(dout)`` needs; backward must follow a train-mode forward
+  on the same instance and returns the gradient w.r.t. the layer input
+  while filling ``self.grads`` (same keys/shapes as ``self.params``),
+  summed over the batch.  The loss divides by B, so the sum is the
+  gradient of the batch-mean loss.  A train-mode ``Conv1D`` keeps its
+  input columns time-major, rows (t, b), so each gradient is one 2-D
+  matrix product; an eval-mode one keeps nothing.
 * ``out_shape(shape)`` maps one example's input shape to its output
   shape (no batch axis) or raises ContractError naming the layer: the
   one shape rule, which ``forward`` enforces and ``Network.shapes`` walks.
@@ -117,35 +119,45 @@ class Conv1D(_Window):
 
     def forward(self, x, train=False, rng=None):
         l_out = self.out_shape(x.shape[1:])[1]
+        batch = x.shape[0]
+        w = self.params["w"].reshape(self.out_channels, -1)
+        if train:
+            # time-major columns: cols[t*B + b, c*K + j] = x[b, c, t*stride + j]
+            xt = np.ascontiguousarray(x.transpose(2, 0, 1))
+            cols = np.empty((l_out, batch, self.in_channels, self.kernel))
+            for j in range(self.kernel):
+                cols[..., j] = xt[j : j + l_out * self.stride : self.stride]
+            cols = cols.reshape(l_out * batch, -1)
+            self._cache = (cols, x.shape)
+            out = cols @ w.T
+            out += self.params["b"]
+            return np.ascontiguousarray(out.reshape(l_out, batch, -1).transpose(1, 2, 0))
+        self._cache = None
         # cols[b, c*K + j, t] = x[b, c, t*stride + j], one strided copy per tap
-        cols = np.empty((x.shape[0], self.in_channels, self.kernel, l_out))
+        cols = np.empty((batch, self.in_channels, self.kernel, l_out))
         for j in range(self.kernel):
             cols[:, :, j, :] = self._tap(x, j, l_out)
-        cols = cols.reshape(x.shape[0], -1, l_out)
-        w = self.params["w"].reshape(self.out_channels, -1)
-        self._cache = (cols, x.shape)
-        out = w @ cols
+        out = w @ cols.reshape(batch, -1, l_out)
         out += self.params["b"][:, None]
         return out
 
     def backward(self, dout, input_grad=True):
         # input_grad=False (the network's first layer) skips dx, returning None
-        cols, in_shape = self._cache
-        w = self.params["w"]
+        cols, (batch, _, length) = self._cache
+        l_out = dout.shape[2]
+        d2 = dout.transpose(2, 0, 1).reshape(l_out * batch, -1)  # rows like cols
         self.grads = {
-            "w": np.tensordot(dout, cols, axes=([0, 2], [0, 2])).reshape(w.shape),
-            "b": dout.sum(axis=(0, 2)),
+            "w": (d2.T @ cols).reshape(self.params["w"].shape),
+            "b": d2.sum(axis=0),
         }
         if not input_grad:
             return None
-        l_out = dout.shape[2]
-        dcols = (w.reshape(self.out_channels, -1).T @ dout).reshape(
-            in_shape[0], self.in_channels, self.kernel, l_out
-        )
-        dx = np.zeros(in_shape)
+        w = self.params["w"].reshape(self.out_channels, -1)
+        dcols = (d2 @ w).reshape(l_out, batch, self.in_channels, self.kernel)
+        dx = np.zeros((length, batch, self.in_channels))
         for j in range(self.kernel):
-            self._tap(dx, j, l_out)[...] += dcols[:, :, j, :]
-        return dx
+            dx[j : j + l_out * self.stride : self.stride] += dcols[..., j]
+        return np.ascontiguousarray(dx.transpose(1, 2, 0))
 
 
 class ReLU(Layer):
@@ -407,6 +419,7 @@ class Network:
     def __init__(self, layers, input_len=None):
         self.layers = list(layers)
         self.input_len = input_len
+        self._train_pass = False  # the latest forward kept what backward reads
 
     def __repr__(self):
         return "Network[" + ", ".join(repr(l) for l in self.layers) + "]"
@@ -418,20 +431,25 @@ class Network:
         has run, so activations are freed as the pass goes; ``backward``
         needs a train-mode pass.
         """
+        self._train_pass = False
         out = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
             out = layer.forward(out, train=train, rng=rng)
             if not train:
                 layer._cache = None
+        self._train_pass = bool(train)
         return out
 
     def backward(self, dout):
         """Backpropagate from the output gradient; returns the grad bundle.
 
-        Must follow a forward pass on this instance.  The bundle is keyed
-        like ``parameters()``; ``Adam.step`` checks each gradient's shape
+        Must follow a train-mode forward pass on this instance, or raises
+        ContractError before any layer runs.  The bundle is keyed like
+        ``parameters()``; ``Adam.step`` checks each gradient's shape
         against its parameter.
         """
+        if not self._train_pass:
+            raise ContractError("backward needs a train-mode forward")
         grad = dout
         for i, layer in reversed(list(enumerate(self.layers))):
             if i == 0 and isinstance(layer, Conv1D):  # no one reads d(loss)/d(input)

@@ -45,6 +45,40 @@ def brute_force_conv1d(x, w, b, stride):
     return out
 
 
+def reference_conv1d_forward(conv, x):
+    """The per-example batched product Conv1D.forward runs in eval mode:
+    its output and its (B, C*K, L_out) column matrix."""
+    l_out = conv.out_shape(x.shape[1:])[1]
+    cols = np.empty((x.shape[0], conv.in_channels, conv.kernel, l_out))
+    for j in range(conv.kernel):
+        cols[:, :, j, :] = conv._tap(x, j, l_out)
+    cols = cols.reshape(x.shape[0], -1, l_out)
+    out = conv.params["w"].reshape(conv.out_channels, -1) @ cols
+    out += conv.params["b"][:, None]
+    return out, cols
+
+
+def reference_conv1d_backward(conv, cols, in_shape, dout):
+    """(dw, db, dx) over the columns of ``reference_conv1d_forward``: one
+    tensordot for dw, a dcols product per example and one scatter per tap."""
+    w = conv.params["w"]
+    dw = np.tensordot(dout, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+    l_out = dout.shape[2]
+    dcols = (w.reshape(conv.out_channels, -1).T @ dout).reshape(
+        in_shape[0], conv.in_channels, conv.kernel, l_out
+    )
+    dx = np.zeros(in_shape)
+    for j in range(conv.kernel):
+        conv._tap(dx, j, l_out)[...] += dcols[:, :, j, :]
+    return dw, dout.sum(axis=(0, 2)), dx
+
+
+def assert_relative(actual, expected, rtol=1e-12):
+    """Largest deviation within rtol of the largest magnitude expected."""
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
+
+
 class TestConv1D:
     def test_identity_kernel_passes_input_through(self):
         conv = Conv1D(3, 3, kernel=1, stride=1)
@@ -70,6 +104,47 @@ class TestConv1D:
         conv = Conv1D(2, 2, kernel=8)
         with pytest.raises(ContractError):
             conv.forward(np.zeros((1, 2, 5)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batch=st.integers(1, 17),
+        in_ch=st.integers(1, 8),
+        out_ch=st.integers(1, 8),
+        kernel=st.integers(1, 9),
+        stride=st.integers(1, 4),
+        l_out=st.integers(1, 40),
+        unread=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_time_major_training_matches_reference(
+        self, batch, in_ch, out_ch, kernel, stride, l_out, unread, seed
+    ):
+        # unread trailing samples lie past the last window (when < stride)
+        length = (l_out - 1) * stride + kernel + unread % stride
+        rng = np.random.default_rng(seed)
+        conv = Conv1D(in_ch, out_ch, kernel, stride, rng=rng)
+        conv.params["b"] = rng.normal(size=out_ch)
+        x = rng.normal(size=(batch, in_ch, length))
+        dout = rng.normal(size=(batch, out_ch, l_out))
+        expected, cols = reference_conv1d_forward(conv, x)
+        dw, db, dx = reference_conv1d_backward(conv, cols, x.shape, dout)
+
+        trained = conv.forward(x, train=True)
+        evaluated = conv.forward(x)
+        assert conv._cache is None
+        assert evaluated.tobytes() == expected.tobytes()
+        assert trained.flags.c_contiguous
+        assert_relative(trained, evaluated)
+        conv.forward(x, train=True)
+        grad = conv.backward(dout)
+        assert grad.flags.c_contiguous
+        assert_relative(grad, dx)
+        assert_relative(conv.grads["w"], dw)
+        assert_relative(conv.grads["b"], db)
+        grads = conv.grads
+        assert conv.backward(dout, input_grad=False) is None
+        for key in grads:
+            assert conv.grads[key].tobytes() == grads[key].tobytes()
 
 
 class TestMaxPool:
@@ -402,6 +477,21 @@ class TestNetworkDeterminism:
         a = net.forward(x)
         b = net.forward(x)
         np.testing.assert_array_equal(a, b)
+
+    def test_backward_needs_a_train_mode_forward(self, monkeypatch):
+        net = toy_network(13)
+        x = np.random.default_rng(13).normal(size=(2, 3, 12))
+        dscores = np.ones((2, 4))
+        ran = []
+        for layer in net.layers:
+            monkeypatch.setattr(layer, "backward", lambda *a, **kw: ran.append(a))
+        with pytest.raises(ContractError, match="backward needs a train-mode forward"):
+            net.backward(dscores)  # a fresh network
+        net.forward(x, train=True, rng=np.random.default_rng(0))
+        net.forward(x)  # an eval-mode pass drops every cache
+        with pytest.raises(ContractError, match="backward needs a train-mode forward"):
+            net.backward(dscores)
+        assert ran == []
 
     def test_backward_shapes_match_parameters(self):
         rng = np.random.default_rng(11)
