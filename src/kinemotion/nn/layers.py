@@ -6,15 +6,18 @@ Conventions
   example is a batch of one.
 * Convolutional-front-end activations are shaped (B, channels, length);
   the LSTM consumes that layout directly and emits its final hidden
-  state as (B, hidden) for the dense head, which returns (B, out).
+  state as (B, hidden) for the dense head, which returns (B, out).  In
+  train mode, activations and gradients from conv 0 to the LSTM are
+  views of time-major (length, B, channels) memory, which ``Conv1D``
+  and ``LSTM`` read as (length*B, channels) rows without a copy.
 * ``forward(x, train=..., rng=...)`` caches whatever the matching
   ``backward(dout)`` needs; backward must follow a train-mode forward
-  on the same instance and returns the gradient w.r.t. the layer input
-  while filling ``self.grads`` (same keys/shapes as ``self.params``),
-  summed over the batch.  The loss divides by B, so the sum is the
-  gradient of the batch-mean loss.  A train-mode ``Conv1D`` keeps its
-  input columns time-major, rows (t, b), so each gradient is one 2-D
-  matrix product; an eval-mode one keeps nothing.
+  on the same instance (a missing cache raises ContractError naming the
+  layer) and returns the gradient w.r.t. the layer input while filling
+  ``self.grads`` (same keys/shapes as ``self.params``), summed over the
+  batch.  The loss divides by B, so the sum is the gradient of the
+  batch-mean loss.  A train-mode ``Conv1D`` keeps its time-major input
+  columns; an eval-mode one keeps nothing.
 * ``out_shape(shape)`` maps one example's input shape to its output
   shape (no batch axis) or raises ContractError naming the layer: the
   one shape rule, which ``forward`` enforces and ``Network.shapes`` walks.
@@ -69,6 +72,11 @@ class Layer:
     def out_shape(self, shape: tuple) -> tuple:
         """Output shape of one example of input ``shape``; kept by default."""
         return shape
+
+    def _cached(self):  # what the latest train-mode forward kept for backward
+        if self._cache is None:
+            raise ContractError(f"{self!r}: backward needs a train-mode forward")
+        return self._cache
 
     def _refuse(self, shape, expected):
         raise ContractError(f"{self!r}: expected input shape {expected}, got {shape}")
@@ -131,7 +139,7 @@ class Conv1D(_Window):
             self._cache = (cols, x.shape)
             out = cols @ w.T
             out += self.params["b"]
-            return np.ascontiguousarray(out.reshape(l_out, batch, -1).transpose(1, 2, 0))
+            return out.reshape(l_out, batch, -1).transpose(1, 2, 0)
         self._cache = None
         # cols[b, c*K + j, t] = x[b, c, t*stride + j], one strided copy per tap
         cols = np.empty((batch, self.in_channels, self.kernel, l_out))
@@ -143,13 +151,12 @@ class Conv1D(_Window):
 
     def backward(self, dout, input_grad=True):
         # input_grad=False (the network's first layer) skips dx, returning None
-        cols, (batch, _, length) = self._cache
+        cols, (batch, _, length) = self._cached()
         l_out = dout.shape[2]
-        d2 = dout.transpose(2, 0, 1).reshape(l_out * batch, -1)  # rows like cols
-        self.grads = {
-            "w": (d2.T @ cols).reshape(self.params["w"].shape),
-            "b": d2.sum(axis=0),
-        }
+        # rows like cols; a copy only if dout is not a time-major view
+        d2 = np.ascontiguousarray(dout.transpose(2, 0, 1)).reshape(l_out * batch, -1)
+        self.grads = {"w": (d2.T @ cols).reshape(self.params["w"].shape),
+                      "b": d2.sum(axis=0)}
         if not input_grad:
             return None
         w = self.params["w"].reshape(self.out_channels, -1)
@@ -157,7 +164,7 @@ class Conv1D(_Window):
         dx = np.zeros((length, batch, self.in_channels))
         for j in range(self.kernel):
             dx[j : j + l_out * self.stride : self.stride] += dcols[..., j]
-        return np.ascontiguousarray(dx.transpose(1, 2, 0))
+        return dx.transpose(1, 2, 0)
 
 
 class ReLU(Layer):
@@ -166,8 +173,7 @@ class ReLU(Layer):
         return np.maximum(x, 0.0)
 
     def backward(self, dout):
-        self.grads = {}
-        return dout * self._cache
+        return dout * self._cached()
 
 
 class MaxPool1D(_Window):
@@ -189,11 +195,9 @@ class MaxPool1D(_Window):
         return out
 
     def backward(self, dout):
-        x, out = self._cache
-        self.grads = {}
-        dx = np.zeros(x.shape)
+        x, out = self._cached()
+        dx, unrouted = np.zeros_like(x), np.ones_like(out, dtype=bool)  # in x's layout
         l_out = out.shape[2]
-        unrouted = np.ones(out.shape, dtype=bool)
         for j in range(self.kernel):
             # the earliest position holding the max takes the gradient
             hit = (self._tap(x, j, l_out) == out) & unrouted
@@ -222,12 +226,11 @@ class Dropout(Layer):
             return x
         if rng is None:
             raise ContractError("train-mode dropout needs a random generator")
-        mask = (rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        self._cache = mask
-        return x * mask
+        keep = np.greater_equal(rng.random(x.shape), self.p, out=np.empty_like(x, bool))
+        self._cache = keep / (1.0 - self.p)  # the (B, C, L) draw, in x's layout
+        return x * self._cache
 
     def backward(self, dout):
-        self.grads = {}
         return dout if self._cache is None else dout * self._cache
 
 
@@ -319,7 +322,7 @@ class LSTM(Layer):
         return h
 
     def backward(self, dout):
-        xs, acts, h_prev, c_prev, tanh_c = self._cache
+        xs, acts, h_prev, c_prev, tanh_c = self._cached()
         n_steps, batch, _ = acts.shape
         hs = self.hidden_size
         wx, wh = self.params["wx"], self.params["wh"]
@@ -375,11 +378,8 @@ class Dense(Layer):
         return flat @ self.params["w"] + self.params["b"]
 
     def backward(self, dout):
-        flat, in_shape = self._cache
-        self.grads = {
-            "w": flat.T @ dout,
-            "b": dout.sum(axis=0),
-        }
+        flat, in_shape = self._cached()
+        self.grads = {"w": flat.T @ dout, "b": dout.sum(axis=0)}
         return (dout @ self.params["w"].T).reshape(in_shape)
 
 

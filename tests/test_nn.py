@@ -133,11 +133,11 @@ class TestConv1D:
         evaluated = conv.forward(x)
         assert conv._cache is None
         assert evaluated.tobytes() == expected.tobytes()
-        assert trained.flags.c_contiguous
+        assert trained.transpose(2, 0, 1).flags.c_contiguous  # a time-major view
         assert_relative(trained, evaluated)
         conv.forward(x, train=True)
         grad = conv.backward(dout)
-        assert grad.flags.c_contiguous
+        assert grad.transpose(2, 0, 1).flags.c_contiguous
         assert_relative(grad, dx)
         assert_relative(conv.grads["w"], dw)
         assert_relative(conv.grads["b"], db)
@@ -167,6 +167,18 @@ class TestDropout:
     def test_train_mode_needs_rng(self):
         with pytest.raises(ContractError):
             Dropout(0.5).forward(np.zeros((2, 2)), train=True)
+
+    def test_mask_is_drawn_batch_major_and_kept_in_the_input_layout(self):
+        # a time-major (B, C, L) view draws the (B, C, L) mask a C-contiguous
+        # input draws, and keeps it, and the output, in its own layout
+        x = np.random.default_rng(2).normal(size=(7, 5, 6))  # (L, B, C)
+        view = x.transpose(1, 2, 0)
+        drop = Dropout(0.25)
+        out = drop.forward(view, train=True, rng=np.random.default_rng(3))
+        mask = (np.random.default_rng(3).random((5, 6, 7)) >= 0.25) / 0.75
+        assert out.tobytes() == (view * mask).tobytes()
+        assert out.transpose(2, 0, 1).flags.c_contiguous
+        assert drop._cache.transpose(2, 0, 1).flags.c_contiguous
 
     def test_inverted_scaling_preserves_expectation(self):
         # mean over 10^4 masks approaches the input within 2% per entry
@@ -469,6 +481,92 @@ class TestBatchedEngine:
         np.testing.assert_array_equal(dx, [[[0.0, 3.0, 0.0, 0.0, 5.0]]])
 
 
+def contiguous_step(net, optimizer, x, targets, rng):
+    """One training step (forward, loss, backward, Adam) with every activation
+    and input gradient copied C-contiguous before the next layer reads it, as
+    each layer returned them before train-mode activations stayed time-major.
+    Returns the scores and a copy of the gradients."""
+    out = x
+    for layer in net.layers:
+        out = np.ascontiguousarray(layer.forward(out, train=True, rng=rng))
+    _, grad = softmax_cross_entropy(out, targets)
+    for i, layer in reversed(list(enumerate(net.layers))):
+        if i == 0:
+            layer.backward(grad, input_grad=False)
+        else:
+            grad = np.ascontiguousarray(layer.backward(grad))
+    grads = {key: g.copy() for key, g in net.gradients().items()}
+    optimizer.step(net.parameters(), grads)
+    return out, grads
+
+
+def recording(method, seen, label):
+    """``method``, appending ``(label, result)`` to ``seen`` on every call."""
+
+    def call(*args, **kwargs):
+        result = method(*args, **kwargs)
+        seen.append((label, result))
+        return result
+
+    return call
+
+
+class TestTimeMajorTraining:
+    """Train-mode activations are time-major views; the bits do not move."""
+
+    @pytest.mark.parametrize("batch", [1, 16, 17])
+    @pytest.mark.parametrize("window", [128, 256])
+    def test_step_matches_contiguous_reference(self, window, batch):
+        from kinemotion.classifier import ModelConfig, build_model
+
+        cfg = ModelConfig(input_len=window)
+        assert cfg.dropout > 0
+        net, ref = (build_model(cfg, seed=window + batch) for _ in range(2))
+        data = np.random.default_rng(batch)
+        x = data.normal(size=(batch, 3, window))
+        targets = data.integers(4, size=batch)
+        optimizer = Adam()
+
+        scores = net.forward(x, train=True, rng=np.random.default_rng(5))
+        _, dscores = softmax_cross_entropy(scores, targets)
+        grads = {key: g.copy() for key, g in net.backward(dscores).items()}
+        optimizer.step(net.parameters(), grads)
+        ref_scores, ref_grads = contiguous_step(
+            ref, Adam(), x, targets, np.random.default_rng(5)
+        )
+
+        bits = np.testing.assert_array_equal
+        bits(scores.view(np.int64), ref_scores.view(np.int64))
+        ref_params = ref.parameters()
+        for key, p in net.parameters().items():
+            bits(grads[key].view(np.int64), ref_grads[key].view(np.int64), err_msg=key)
+            bits(p.view(np.int64), ref_params[key].view(np.int64), err_msg=key)
+
+    def test_train_activations_and_gradients_stay_time_major(self, monkeypatch):
+        from kinemotion.classifier import ModelConfig, build_model
+
+        net = build_model(ModelConfig(), seed=4)
+        seen = []
+        for i, layer in enumerate(net.layers):
+            for name in ("forward", "backward"):
+                method = recording(getattr(layer, name), seen, (i, name))
+                monkeypatch.setattr(layer, name, method)
+        x = np.random.default_rng(4).normal(size=(16, 3, 128))
+        scores = net.forward(x, train=True, rng=np.random.default_rng(6))
+        net.backward(softmax_cross_entropy(scores, np.arange(16) % 4)[1])
+        maps = {label: a for label, a in seen if a is not None and a.ndim == 3}
+        # conv 0 to the last dropout forward, and LSTM to layer 1 backward
+        assert sorted(maps) == sorted(
+            [(i, "forward") for i in range(12)] + [(i, "backward") for i in range(1, 13)]
+        )
+        for label, a in maps.items():
+            assert a.transpose(2, 0, 1).flags.c_contiguous, label
+        seen.clear()
+        net.forward(x)
+        for label, a in seen:  # eval mode keeps the (B, C, L) order
+            assert a.ndim == 2 or a.flags.c_contiguous, label
+
+
 class TestNetworkDeterminism:
     def test_eval_forward_is_bit_identical(self):
         rng = np.random.default_rng(10)
@@ -492,6 +590,41 @@ class TestNetworkDeterminism:
         with pytest.raises(ContractError, match="backward needs a train-mode forward"):
             net.backward(dscores)
         assert ran == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Conv1D(3, 4, kernel=3, stride=2),
+            ReLU,
+            lambda: MaxPool1D(kernel=2, stride=2),
+            lambda: LSTM(3, 5),
+            lambda: Dense(27, 4),
+        ],
+        ids=["conv1d", "relu", "maxpool1d", "lstm", "dense"],
+    )
+    def test_layer_backward_without_its_cache_names_the_layer(self, make):
+        layer = make()
+        x = np.random.default_rng(14).normal(size=(2, 3, 9))
+        dout = np.ones_like(layer.forward(x, train=True))
+        layer.backward(dout)  # a train-mode forward kept what backward reads
+        message = rf"^{type(layer).__name__}\(.*\): backward needs a train-mode forward"
+        if isinstance(layer, (Conv1D, LSTM)):  # an eval-mode forward keeps nothing
+            layer.forward(x)
+            with pytest.raises(ContractError, match=message):
+                layer.backward(dout)
+        layer.forward(x, train=True)
+        Network([layer]).forward(x)  # an eval-mode pass clears every cache
+        with pytest.raises(ContractError, match=message):
+            layer.backward(dout)
+        with pytest.raises(ContractError, match=message):
+            make().backward(dout)  # a fresh layer
+
+    def test_dropout_backward_after_eval_pass_is_identity(self):
+        drop = Dropout(0.5)
+        x = np.random.default_rng(15).normal(size=(2, 3, 9))
+        drop.forward(x, train=True, rng=np.random.default_rng(0))
+        Network([drop]).forward(x)
+        assert drop.backward(x) is x
 
     def test_backward_shapes_match_parameters(self):
         rng = np.random.default_rng(11)
