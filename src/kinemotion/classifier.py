@@ -215,6 +215,11 @@ def predict_proba(net: Network, x, rows=None) -> np.ndarray:
     return probs
 
 
+# Windows per LSTM recurrence of predict_windows.  The recurrence keeps only a
+# few (B, 4H) buffers, so a chunk four times EVAL_CHUNK costs little memory
+# and spreads each step's numpy calls over more windows.
+WINDOW_CHUNK = 128
+
 # Signal samples per front-end pass of predict_windows: about the input of
 # 16 windows of 256 samples, so the pass's activations stay at a few MiB
 # however long the recording is.
@@ -267,10 +272,10 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
     OverFeat): with S the front end's total stride and p = o % S, the
     window at offset o reads features ``[(o - p) // S, (o - p) // S + T)``
     of the pass over ``samples[p:]``.  The LSTM's input projection
-    ``x_t @ wx + b`` reads one feature only, so it too runs once per
-    phase, over all of that phase's features; per window only the LSTM
-    recurrence, on the window's T gathered projections, and the layers
-    after the LSTM run.
+    ``x_t @ wx + b`` reads one feature only, so it runs once per chunk of
+    WINDOW_CHUNK windows of a phase, over the features those windows
+    read; per window only the LSTM recurrence, which gathers each step's
+    projections from that table, and the layers after the LSTM run.
 
     That pays only while windows overlap enough: consecutive windows of a
     phase start g * S samples apart, g = stride / gcd(stride, S), so each
@@ -283,11 +288,12 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
     stride 64, g = 4) and g <= 9 at W = 256.  A network whose first layer
     after the front end is not an LSTM always runs whole windows.
 
-    Memory grows with the recording only through one phase's projections
-    (4H values per S samples): a phase pass runs in blocks of about
-    FRONT_END_BLOCK samples that overlap by the receptive field and is
-    projected block by block, only one phase's projections are kept, and
-    windows go through the recurrence EVAL_CHUNK at a time.
+    Memory grows with the recording only through one phase's features
+    (C values per S samples, C the LSTM's input width): a phase pass runs
+    in blocks of about FRONT_END_BLOCK samples that overlap by the
+    receptive field, only one phase's features are kept, and a chunk's
+    projections (4H values for each feature it reads, at most T - 1 of
+    them shared with the chunk before) live only for its recurrence.
     """
     check_network(net)
     window = net.input_len
@@ -303,7 +309,7 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
     passes = [offsets[rows[-1]] - offsets[rows[0]] + reach for rows in groups]
     shared = sum(_conv_macs(front, n) for n in passes)
     # the passes must save a fifth: a margin for what the count leaves out
-    # (block overlaps, the projection gather, one recurrence per chunk)
+    # (block overlaps, the re-projected features, one recurrence per chunk)
     if not isinstance(lstm, LSTM) or (
         5 * shared > 4 * len(offsets) * _conv_macs(front, window)
     ):
@@ -317,18 +323,20 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
         phase = offsets[rows[0]] % total
         starts = (offsets[rows] - phase) // total
         n_feats = int(starts[-1]) + steps
-        # xw[s]: the LSTM input projection of feature s
-        xw = np.empty((n_feats, 4 * lstm.hidden_size))
+        # feats[s]: front-end feature s of the pass over samples[phase:]
+        feats = np.empty((n_feats, lstm.input_size))
         for first in range(int(starts[0]), n_feats, per_block):
             count = min(per_block, n_feats - first)
             lo = phase + first * total
             out = front.forward(signal[None, :, lo : lo + (count - 1) * total + span])
-            xw[first : first + count] = lstm.project(out[0].T)
-        for at in range(0, len(rows), EVAL_CHUNK):
-            gates = xw[time + starts[at : at + EVAL_CHUNK]]  # (T, B, 4H)
-            probs[rows[at : at + EVAL_CHUNK]] = softmax(
-                head.forward(lstm.recurrence(gates))
-            )
+            feats[first : first + count] = out[0].T
+        for at in range(0, len(rows), WINDOW_CHUNK):
+            chunk = starts[at : at + WINDOW_CHUNK]
+            first = int(chunk[0])
+            # the features the chunk reads: at most T - 1 also read by the one before
+            xw = lstm.project(feats[first : int(chunk[-1]) + steps])
+            h = lstm.recurrence(xw, rows=time + (chunk - first))
+            probs[rows[at : at + WINDOW_CHUNK]] = softmax(head.forward(h))
     return probs
 
 

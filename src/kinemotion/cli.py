@@ -56,6 +56,7 @@ from .smoothness import (
 from .synth import gen_dataset
 
 USAGE_ERROR, DATA_ERROR = 1, 2
+CSV_BLOCK = 4096  # classify rows formatted per write
 
 _MODEL_FIELDS = {f.name: f for f in dataclasses.fields(ModelConfig)}
 _TRAIN_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
@@ -221,18 +222,25 @@ def _cmd_classify(args):
 
     # 10 significant digits keep each row's printed probabilities summing
     # to 1 within 1e-9; six digits left up to 2e-6
-    lines = ["start_index,end_index,true_label,predicted,p_M1,p_M2,p_M3,p_M4"]
-    labels = [KEY_MOVEMENTS[k] for k in probs.argmax(axis=1)]
-    for (start, end, truth), label, row in zip(spans, labels, probs.tolist()):
-        lines.append(
-            f"{start},{end},{truth},{label}," + ",".join(f"{p:.10g}" for p in row)
-        )
-    text = "\n".join(lines) + "\n"
+    labels = probs.argmax(axis=1)
+
+    def blocks():  # the CSV text, CSV_BLOCK rows at a time
+        yield "start_index,end_index,true_label,predicted,p_M1,p_M2,p_M3,p_M4\n"
+        for at in range(0, len(probs), CSV_BLOCK):
+            rows = zip(spans[at : at + CSV_BLOCK], labels[at : at + CSV_BLOCK].tolist(),
+                       probs[at : at + CSV_BLOCK].tolist())
+            yield "".join(
+                f"{start},{end},{truth},{KEY_MOVEMENTS[k]},"
+                + ",".join(f"{p:.10g}" for p in row) + "\n"
+                for (start, end, truth), k, row in rows
+            )
+
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.writelines(blocks())
         print(f"classified {len(probs)} epochs -> {args.out}")
     else:
-        print(text, end="")
+        sys.stdout.writelines(blocks())
     return 0
 
 
@@ -368,3 +376,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

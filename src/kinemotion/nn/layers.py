@@ -242,12 +242,12 @@ class LSTM(Layer):
     are packed [input, forget, candidate, output].  ``forward`` is the
     input projection (:meth:`project`) of every timestep as one matrix
     product, followed by :meth:`recurrence`, where only the recurrent
-    (B, 4H) product runs per step.  The projection of a timestep reads
-    that timestep only, so a caller holding the projections of a
-    feature sequence can run :meth:`recurrence` on gathered rows of
-    them directly (``classifier.predict_windows`` does).  Initial
-    weights are uniform +-1/sqrt(fan_in) and the forget-gate bias
-    starts at 1.
+    (B, 4H) product runs per step, in buffers allocated once per call.
+    The projection of a timestep reads that timestep only, so a caller
+    holding the projections of a feature sequence can have
+    :meth:`recurrence` gather each step's rows of them directly
+    (``classifier.predict_windows`` does).  Initial weights are uniform
+    +-1/sqrt(fan_in) and the forget-gate bias starts at 1.
     """
 
     FIELDS = ("input_size", "hidden_size")
@@ -288,36 +288,56 @@ class LSTM(Layer):
         """Input projections ``x_t @ wx + b`` (n, 4H) of the (n, in) inputs ``rows``."""
         return rows @ self.params["wx"] + self.params["b"]
 
-    def recurrence(self, xw, train=False):
+    def recurrence(self, xw, train=False, rows=None):
         """Final hidden state (B, H) from projected inputs xw (T, B, 4H).
 
-        ``xw[t]`` is ``x_t @ wx + b`` for timestep t.  A train-mode call
-        keeps the per-step activations and states that ``backward``
-        needs; an eval-mode call keeps none.
+        ``xw[t]`` is ``x_t @ wx + b`` for timestep t.  With ``rows``, a
+        (T, B) index array, ``xw`` is instead a table of projections
+        (n, 4H) and step t reads its rows ``rows[t]``, gathered into a
+        buffer, so no (T, B, 4H) copy of the table is made.  A
+        train-mode call keeps the per-step activations and states that
+        ``backward`` needs; an eval-mode call keeps none.  Every step
+        works in (B, 4H) and (B, H) buffers allocated once per call.
         """
-        n_steps, batch, _ = xw.shape
+        n_steps, batch = (xw if rows is None else rows).shape[:2]
         hs = self.hidden_size
         wh = self.params["wh"]
-        h = np.zeros((batch, hs))
-        c = np.zeros((batch, hs))
-        if train:  # per step: the state entering it, and what it computed
-            h_prev, c_prev, tanh_cs = np.empty((3, n_steps, batch, hs))
-            acts = np.empty((n_steps, batch, 4 * hs))
+        h, c, ig = np.zeros((3, batch, hs))
+        gates = np.empty((batch, 4 * hs))
+        gates_g = gates[:, 2 * hs : 3 * hs]
+        gathered = None if rows is None else np.empty_like(gates)
+        # per kept step: the activations i, f, g, o and tanh(c); a train-mode
+        # call keeps every step's, an eval-mode one reuses one step's buffers
+        kept = n_steps if train else 1
+        acts = np.empty((kept, batch, 4 * hs))
+        tanh_cs = np.empty((kept, batch, hs))
+        views = [(act, tanh_c, *(act[:, k * hs : (k + 1) * hs] for k in range(4)))
+                 for act, tanh_c in zip(acts, tanh_cs)]
+        if train:  # per step: the state entering it
+            h_prev, c_prev = np.empty((2, n_steps, batch, hs))
         for t in range(n_steps):
-            gates = xw[t] + h @ wh
+            act, tanh_c, i, f, g, o = views[t if train else 0]
+            if rows is None:
+                x_t = xw[t]
+            else:  # rows are in range: "clip" skips the copy "raise" makes with out=
+                x_t = np.take(xw, rows[t], axis=0, out=gathered, mode="clip")
+            np.matmul(h, wh, out=gates)
+            gates += x_t
             # i, f, g, o after nonlinearity: sigmoid(z) = (tanh(z / 2) + 1) / 2
             # over all four in place, then tanh over g
-            act = np.multiply(gates, 0.5)
+            np.multiply(gates, 0.5, out=act)
             np.tanh(act, out=act)
             act += 1.0
             act *= 0.5
-            np.tanh(gates[:, 2 * hs : 3 * hs], out=act[:, 2 * hs : 3 * hs])
-            i, f, g, o = (act[:, k * hs : (k + 1) * hs] for k in range(4))
-            c_next = f * c + i * g
-            tanh_c = np.tanh(c_next)
+            np.tanh(gates_g, out=g)
             if train:
-                acts[t], h_prev[t], c_prev[t], tanh_cs[t] = act, h, c, tanh_c
-            h, c = o * tanh_c, c_next
+                h_prev[t], c_prev[t] = h, c
+            # c = f * c + i * g; h = o * tanh(c)
+            np.multiply(f, c, out=c)
+            np.multiply(i, g, out=ig)
+            c += ig
+            np.tanh(c, out=tanh_c)
+            np.multiply(o, tanh_c, out=h)
         self._cache = (acts, h_prev, c_prev, tanh_cs) if train else None
         return h
 

@@ -366,6 +366,25 @@ class TestPredictWindows:
         np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(blocked.argmax(axis=1), whole.argmax(axis=1))
 
+    @pytest.mark.parametrize("n_windows", [2 * classifier.WINDOW_CHUNK - 1,
+                                           2 * classifier.WINDOW_CHUNK + 1])
+    def test_phases_across_a_window_chunk(self, n_windows, monkeypatch):
+        # stride 8 at S = 16: two phases, holding chunk and chunk - 1 windows,
+        # or chunk + 1 and chunk; the last chunk of a phase may be one window
+        chunk = classifier.WINDOW_CHUNK
+        net = build_model(ModelConfig(input_len=128), seed=28)
+        series = random_series(128 + 8 * (n_windows - 1), seed=n_windows)
+        offsets = np.arange(n_windows) * 8
+        counts = sorted(np.bincount(offsets % 16)[[0, 8]])
+        assert counts == ([chunk - 1, chunk] if n_windows < 2 * chunk
+                          else [chunk, chunk + 1])
+        got = predict_windows(net, series, 8)
+        assert_rows_agree(got, predict_proba(net, windows_of(series, 128, 8)))
+        # a chunk projects only the features its windows read; a batch of one
+        # may take another BLAS kernel, so the bits may differ there
+        monkeypatch.setattr(classifier, "WINDOW_CHUNK", n_windows)  # one chunk a phase
+        np.testing.assert_allclose(got, predict_windows(net, series, 8), rtol=0, atol=1e-15)
+
     def test_stack_without_lstm_after_the_front_end_runs_whole_windows(self):
         # conv, relu, pool, then a dense head: stride 1 would take the phase
         # passes for an LSTM stack, but the projection needs an LSTM

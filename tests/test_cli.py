@@ -258,29 +258,66 @@ class TestClassifyChunks:
         assert captured.err == f"error: {reference.value}\n"
         assert captured.out == ""
 
-    def test_windows_across_chunk_boundaries_match_predict(self, trained_dir, tmp_path):
-        from kinemotion.classifier import EVAL_CHUNK
+    def classify_windows(self, trained_dir, tmp_path, rows, stride):
+        """Run ``classify --mode windows`` over a random recording of ``rows``
+        samples; check every row against per-window prediction; return the
+        window offsets."""
         from kinemotion.kinematics import window, window_offsets
         from kinemotion.nn import load_checkpoint
 
-        rec = random_recording(tmp_path / "long.csv", rows=96 + 5 * (EVAL_CHUNK + 36))
-        windows = window(rec.series, 96, 5)
-        assert len(windows) > EVAL_CHUNK and len(windows) % EVAL_CHUNK != 0
+        rec = random_recording(tmp_path / "long.csv", rows=rows)
         out = tmp_path / "windows.csv"
         assert run_cli(
             "classify",
             "--recording", str(tmp_path / "long.csv"),
             "--checkpoint", str(trained_dir / "model.knm"),
             "--mode", "windows",
-            "--stride", "5",
+            "--stride", str(stride),
             "--out", str(out),
         ) == 0
         rows = classified_rows(out)
         net = load_checkpoint(trained_dir / "model.knm").net
-        assert_rows_match_predict(rows, net, windows)
+        assert_rows_match_predict(rows, net, window(rec.series, 96, stride))
+        offsets = window_offsets(len(rec.series), 96, stride)
         assert [(int(r["start_index"]), int(r["end_index"])) for r in rows] == [
-            (o, o + 96) for o in window_offsets(len(rec.series), 96, 5)
+            (o, o + 96) for o in offsets
         ]
+        return offsets
+
+    def test_windows_across_chunk_boundaries_match_predict(self, trained_dir, tmp_path):
+        from kinemotion.classifier import WINDOW_CHUNK
+
+        # stride 8 runs phase passes (S = 16, two phases) whose windows go
+        # through the recurrence WINDOW_CHUNK at a time
+        rows = 96 + 8 * 2 * (WINDOW_CHUNK + 36)
+        offsets = self.classify_windows(trained_dir, tmp_path, rows, 8)
+        per_phase = np.bincount(np.asarray(offsets) % 16)[[0, 8]]
+        assert min(per_phase) > WINDOW_CHUNK and all(per_phase % WINDOW_CHUNK)
+
+    def test_whole_windows_across_eval_chunks_match_predict(self, trained_dir, tmp_path):
+        from kinemotion.classifier import EVAL_CHUNK
+
+        # stride 5 (g = 5) runs each window through the whole network,
+        # EVAL_CHUNK windows per forward pass
+        offsets = self.classify_windows(trained_dir, tmp_path, 96 + 5 * (EVAL_CHUNK + 36), 5)
+        assert len(offsets) > EVAL_CHUNK and len(offsets) % EVAL_CHUNK != 0
+
+    def test_csv_blocks_make_one_table(self, trained_dir, tmp_path, monkeypatch, capsys):
+        from kinemotion import cli
+
+        random_recording(tmp_path / "rec.csv", rows=300)
+        argv = ["classify", "--recording", str(tmp_path / "rec.csv"),
+                "--checkpoint", str(trained_dir / "model.knm"), "--mode", "windows"]
+        assert run_cli(*argv, "--out", str(tmp_path / "whole.csv")) == 0
+        whole = (tmp_path / "whole.csv").read_text(encoding="utf-8")
+        assert whole.count("\n") == 1 + (300 - 96) // 64 + 1
+        monkeypatch.setattr(cli, "CSV_BLOCK", 2)  # 4 windows: blocks of 2, 2
+        assert run_cli(*argv, "--out", str(tmp_path / "blocks.csv")) == 0
+        assert (tmp_path / "blocks.csv").read_text(encoding="utf-8") == whole
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "CSV_BLOCK", 3)  # blocks of 3, 1
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == whole
 
     def test_segments_across_chunk_boundaries_match_predict(
         self, trained_dir, tmp_path, monkeypatch
@@ -952,6 +989,31 @@ class TestUsageAndExitCodes:
             "report", "--fixtures", str(tmp_path / "nope.csv"), "--out", str(tmp_path)
         )
         assert code == 2
+
+    @pytest.mark.parametrize("module", ["kinemotion", "kinemotion.cli"])
+    def test_python_m_runs_the_command_line(self, module):
+        # main() and its exit status, as `python -m` runs them
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import kinemotion
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(kinemotion.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+
+        def python_m(*argv):
+            return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+
+        version = python_m("--version")
+        assert (version.returncode, version.stdout) == (0, kinemotion.__version__ + "\n")
+        missing = python_m("classify", "--recording", "rec.csv")
+        assert missing.returncode == 1
+        assert "required: --checkpoint" in missing.stderr
 
     def test_every_option_is_documented_in_help(self):
         # walk each subparser: every registered option string must be

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kinemotion.classifier import WINDOW_CHUNK
 from kinemotion.errors import ContractError, InvalidDataError
 from kinemotion.nn import (
     LSTM,
@@ -71,6 +72,40 @@ def reference_conv1d_backward(conv, cols, in_shape, dout):
     for j in range(conv.kernel):
         conv._tap(dx, j, l_out)[...] += dcols[:, :, j, :]
     return dw, dout.sum(axis=(0, 2)), dx
+
+
+def reference_recurrence(lstm, xw, train=False):
+    """The gate loop LSTM.recurrence ran before it worked in preallocated
+    buffers: fresh arrays every step.  Returns the final hidden state and,
+    in train mode, the caches (acts, h_prev, c_prev, tanh_c) it kept."""
+    n_steps, batch, _ = xw.shape
+    hs = lstm.hidden_size
+    wh = lstm.params["wh"]
+    h = np.zeros((batch, hs))
+    c = np.zeros((batch, hs))
+    h_prev, c_prev, tanh_cs = np.empty((3, n_steps, batch, hs))
+    acts = np.empty((n_steps, batch, 4 * hs))
+    for t in range(n_steps):
+        gates = xw[t] + h @ wh
+        act = np.multiply(gates, 0.5)
+        np.tanh(act, out=act)
+        act += 1.0
+        act *= 0.5
+        np.tanh(gates[:, 2 * hs : 3 * hs], out=act[:, 2 * hs : 3 * hs])
+        i, f, g, o = (act[:, k * hs : (k + 1) * hs] for k in range(4))
+        c_next = f * c + i * g
+        tanh_c = np.tanh(c_next)
+        acts[t], h_prev[t], c_prev[t], tanh_cs[t] = act, h, c, tanh_c
+        h, c = o * tanh_c, c_next
+    return h, ((acts, h_prev, c_prev, tanh_cs) if train else None)
+
+
+def assert_bits(actual, expected, err_msg=""):
+    """Equal bit for bit: shapes, values, signed zeros."""
+    assert actual.shape == expected.shape, err_msg
+    np.testing.assert_array_equal(
+        actual.view(np.int64), expected.view(np.int64), err_msg=err_msg
+    )
 
 
 def assert_relative(actual, expected, rtol=1e-12):
@@ -242,9 +277,56 @@ class TestLSTM:
         feats = np.random.default_rng(12).normal(size=(5, 40))
         xw = feats.T @ lstm.params["wx"] + lstm.params["b"]
         starts, steps = np.array([0, 3, 17, 33]), 7
-        gathered = lstm.recurrence(xw[np.arange(steps)[:, None] + starts])
+        rows = np.arange(steps)[:, None] + starts
+        gathered = lstm.recurrence(xw, rows=rows)
+        assert_bits(gathered, lstm.recurrence(xw[rows]))
         windows = np.stack([feats[:, s : s + steps] for s in starts])
         np.testing.assert_allclose(gathered, lstm.forward(windows), rtol=0, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.integers(1, 12),
+        batch=st.integers(1, WINDOW_CHUNK + 1),
+        hidden=st.sampled_from([1, 3, 8, 64]),
+        inputs=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_buffered_recurrence_matches_reference(
+        self, steps, batch, hidden, inputs, seed
+    ):
+        # the gate loop in preallocated buffers computes every value of the
+        # loop that allocated fresh arrays each step, bit for bit: the final
+        # state in eval and train mode, the train caches and backward's
+        # gradients, and the state from gathered rows of a projection table
+        data = np.random.default_rng(seed)
+        lstm = LSTM(inputs, hidden, rng=data)
+        lstm.params["b"] += data.normal(size=4 * hidden)
+        x = 2.0 * data.normal(size=(batch, inputs, steps))
+        dout = data.normal(size=(batch, hidden))
+        xs = np.ascontiguousarray(x.transpose(2, 0, 1)).reshape(steps * batch, -1)
+        xw = lstm.project(xs).reshape(steps, batch, -1)
+
+        want, _ = reference_recurrence(lstm, xw)
+        assert_bits(lstm.recurrence(xw), want)
+        assert lstm._cache is None
+
+        assert_bits(lstm.forward(x, train=True), want)
+        caches = lstm._cache[1:]
+        dx = lstm.backward(dout)
+        grads = lstm.grads
+        _, want_caches = reference_recurrence(lstm, xw, train=True)
+        for name, got, ref in zip(("acts", "h_prev", "c_prev", "tanh_c"), caches,
+                                  want_caches):
+            assert_bits(got, ref, err_msg=name)
+        lstm._cache = (xs, *want_caches)
+        assert_bits(dx, lstm.backward(dout))
+        for key, grad in grads.items():
+            assert_bits(grad, lstm.grads[key], err_msg=key)
+
+        table = data.normal(size=(steps + 20, 4 * hidden))
+        rows = np.arange(steps)[:, None] + data.integers(0, 21, size=batch)
+        want, _ = reference_recurrence(lstm, table[rows])
+        assert_bits(lstm.recurrence(table, rows=rows), want)
 
 
 class TestDense:
