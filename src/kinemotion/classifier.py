@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import io
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,6 +187,44 @@ class EvalResult:
     confusion: np.ndarray  # rows = true class, cols = predicted
 
 
+def _workers(units: int) -> int:
+    """Threads for ``units`` independent units of inference: one per CPU
+    this process may run on, and no more than there are units."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, units))
+
+
+def _run_units(unit, items) -> None:
+    """``unit(item)`` for every item, each writing its own part of a result.
+
+    The calling thread and ``_workers - 1`` helper threads take the items
+    in turn from one iterator; with one worker this is a plain loop.
+    numpy releases the GIL inside BLAS and inside ufunc loops, so the
+    units overlap on the cores.  Every helper has ended when this returns,
+    and a unit's exception is raised here.
+    """
+    todo, errors = iter(items), []
+
+    def drain():
+        try:
+            for item in todo:
+                unit(item)
+        except Exception as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=drain) for _ in range(_workers(len(items)) - 1)]
+    for helper in helpers:
+        helper.start()
+    drain()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+
+
 # Epochs per forward pass outside training.  A chunk amortises numpy call
 # overhead; a bounded one keeps the activations alive at once to a few
 # MiB, where a whole recording's windows in one batch would take tens.
@@ -195,8 +235,11 @@ def predict_proba(net: Network, x, rows=None) -> np.ndarray:
     """(N, 4) class probabilities (eval mode) of the epochs of a (B, 3, W) array.
 
     With ``rows``, of the epochs ``x[rows]`` only.  Each forward pass
-    gathers EVAL_CHUNK epochs.  W must be the model window when the
-    network declares one, and the network must give 4 scores per epoch.
+    gathers EVAL_CHUNK epochs, and the passes run on ``_run_units``'
+    threads (an eval pass keeps no layer state), each writing its own
+    rows; the values do not depend on the number of threads.  W must be
+    the model window when the network declares one, and the network must
+    give 4 scores per epoch.
     """
     window = net.input_len
     if window is not None and x.shape[-1] != window:
@@ -205,13 +248,15 @@ def predict_proba(net: Network, x, rows=None) -> np.ndarray:
         )
     rows = np.arange(len(x)) if rows is None else rows
     probs = np.empty((len(rows), N_CLASSES))
-    for start in range(0, len(rows), EVAL_CHUNK):
-        chunk = x[rows[start : start + EVAL_CHUNK]]
-        scores = net.forward(chunk, train=False)
+
+    def chunk(start):
+        scores = net.forward(x[rows[start : start + EVAL_CHUNK]], train=False)
         if scores.shape[1:] != (N_CLASSES,):
             raise ContractError(f"the network gives scores of shape {scores.shape[1:]} "
                                 f"per epoch, not ({N_CLASSES},)")
-        probs[start : start + len(chunk)] = softmax(scores)
+        probs[start : start + len(scores)] = softmax(scores)
+
+    _run_units(chunk, range(0, len(rows), EVAL_CHUNK))
     return probs
 
 
@@ -288,12 +333,16 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
     stride 64, g = 4) and g <= 9 at W = 256.  A network whose first layer
     after the front end is not an LSTM always runs whole windows.
 
-    Memory grows with the recording only through one phase's features
-    (C values per S samples, C the LSTM's input width): a phase pass runs
-    in blocks of about FRONT_END_BLOCK samples that overlap by the
-    receptive field, only one phase's features are kept, and a chunk's
-    projections (4H values for each feature it reads, at most T - 1 of
-    them shared with the chunk before) live only for its recurrence.
+    The phases are independent units: each runs its pass, its chunks'
+    recurrences and the head, and writes only its own rows, on
+    ``_run_units``' threads, so the values do not depend on the number of
+    threads.  Memory grows with the recording only through one phase's
+    features per thread (C values per S samples, C the LSTM's input
+    width): a phase pass runs in blocks of about FRONT_END_BLOCK samples
+    that overlap by the receptive field, a thread keeps one phase's
+    features at a time, and a chunk's projections (4H values for each
+    feature it reads, at most T - 1 of them shared with the chunk before)
+    live only for its recurrence.
     """
     check_network(net)
     window = net.input_len
@@ -319,7 +368,8 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
     probs = np.empty((len(offsets), N_CLASSES))
     per_block = max(1, (FRONT_END_BLOCK - span) // total + 1)
     time = np.arange(steps)[:, None]
-    for rows in groups:
+
+    def phase_unit(rows):  # one phase: its pass, recurrences and head
         phase = offsets[rows[0]] % total
         starts = (offsets[rows] - phase) // total
         n_feats = int(starts[-1]) + steps
@@ -337,6 +387,8 @@ def predict_windows(net: Network, series: TimeSeries3D, stride: int) -> np.ndarr
             xw = lstm.project(feats[first : int(chunk[-1]) + steps])
             h = lstm.recurrence(xw, rows=time + (chunk - first))
             probs[rows[at : at + WINDOW_CHUNK]] = softmax(head.forward(h))
+
+    _run_units(phase_unit, groups)
     return probs
 
 

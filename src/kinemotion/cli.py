@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import sys
 from pathlib import Path
 
@@ -210,30 +211,33 @@ def _cmd_classify(args):
     input_len = net.input_len
     rec = parse_recording(args.recording)
 
+    # the leading columns of each row, and the format of a row: a window
+    # has no true label, so its bounds come straight from the offsets' range
     if args.mode == "segments":
         data = _epochs([rec], input_len, f"in {args.recording}")
-        labels = [KEY_MOVEMENTS[k] for k in data.labels]
-        spans = list(zip(data.starts.tolist(), data.ends.tolist(), labels))
         probs = predict_proba(net, data.x)
+        truths = [KEY_MOVEMENTS[k] for k in data.labels]
+        columns = (data.starts.tolist(), data.ends.tolist(), truths)
+        row = "%d,%d,%s,"
     else:
         probs = predict_windows(net, rec.series, args.stride)
-        offsets = window_offsets(len(rec.series), input_len, args.stride)
-        spans = [(o, o + input_len, "") for o in offsets]
-
+        starts = window_offsets(len(rec.series), input_len, args.stride)
+        columns = (starts, range(starts.start + input_len, starts.stop + input_len,
+                                 starts.step))
+        row = "%d,%d,,"
     # 10 significant digits keep each row's printed probabilities summing
     # to 1 within 1e-9; six digits left up to 2e-6
+    row += "%s" + ",%.10g" * len(KEY_MOVEMENTS) + "\n"
     labels = probs.argmax(axis=1)
 
-    def blocks():  # the CSV text, CSV_BLOCK rows at a time
+    def blocks():  # the CSV text, one %-call per CSV_BLOCK rows
         yield "start_index,end_index,true_label,predicted,p_M1,p_M2,p_M3,p_M4\n"
         for at in range(0, len(probs), CSV_BLOCK):
-            rows = zip(spans[at : at + CSV_BLOCK], labels[at : at + CSV_BLOCK].tolist(),
-                       probs[at : at + CSV_BLOCK].tolist())
-            yield "".join(
-                f"{start},{end},{truth},{KEY_MOVEMENTS[k]},"
-                + ",".join(f"{p:.10g}" for p in row) + "\n"
-                for (start, end, truth), k, row in rows
-            )
+            part = slice(at, at + CSV_BLOCK)
+            cells = [column[part] for column in columns]
+            cells.append([KEY_MOVEMENTS[k] for k in labels[part].tolist()])
+            cells += probs[part].T.tolist()
+            yield row * len(cells[-1]) % tuple(itertools.chain.from_iterable(zip(*cells)))
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

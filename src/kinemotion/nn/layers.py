@@ -17,7 +17,7 @@ Conventions
   ``self.grads`` (same keys/shapes as ``self.params``), summed over the
   batch.  The loss divides by B, so the sum is the gradient of the
   batch-mean loss.  A train-mode ``Conv1D`` keeps its time-major input
-  columns; an eval-mode one keeps nothing.
+  columns; an eval-mode forward of any layer keeps nothing.
 * ``out_shape(shape)`` maps one example's input shape to its output
   shape (no batch axis) or raises ContractError naming the layer: the
   one shape rule, which ``forward`` enforces and ``Network.shapes`` walks.
@@ -169,7 +169,7 @@ class Conv1D(_Window):
 
 class ReLU(Layer):
     def forward(self, x, train=False, rng=None):
-        self._cache = x > 0
+        self._cache = x > 0 if train else None
         return np.maximum(x, 0.0)
 
     def backward(self, dout):
@@ -191,7 +191,7 @@ class MaxPool1D(_Window):
         out = self._tap(x, 0, l_out)
         for j in range(1, self.kernel):
             out = np.maximum(out, self._tap(x, j, l_out))
-        self._cache = (x, out)
+        self._cache = (x, out) if train else None
         return out
 
     def backward(self, dout):
@@ -394,7 +394,7 @@ class Dense(Layer):
     def forward(self, x, train=False, rng=None):
         self.out_shape(x.shape[1:])
         flat = x.reshape(x.shape[0], self.in_features)
-        self._cache = (flat, x.shape)
+        self._cache = (flat, x.shape) if train else None
         return flat @ self.params["w"] + self.params["b"]
 
     def backward(self, dout):
@@ -447,16 +447,15 @@ class Network:
     def forward(self, x, train=False, rng=None):
         """(B, classes) scores for a (B, C, L) batch.
 
-        An eval-mode pass drops each layer's cache as soon as the layer
-        has run, so activations are freed as the pass goes; ``backward``
-        needs a train-mode pass.
+        An eval-mode pass keeps no layer state: every layer sets its
+        cache to None, so activations are freed as the pass goes, and
+        concurrent eval passes over one network write nothing but those
+        Nones; ``backward`` needs a train-mode pass.
         """
         self._train_pass = False
         out = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
             out = layer.forward(out, train=train, rng=rng)
-            if not train:
-                layer._cache = None
         self._train_pass = bool(train)
         return out
 

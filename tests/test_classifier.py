@@ -496,3 +496,86 @@ class TestTrain:
         assert float(first[1]) == log.train_loss[0]
         grid = log.confusion_to_csv().strip().splitlines()
         assert len(grid) == 5
+
+
+def one_worker(units):
+    return 1
+
+
+def four_workers(units):  # the pool whatever the CPUs of the test host
+    return min(4, units)
+
+
+class TestInferencePool:
+    """The thread pool of predict_proba and predict_windows changes no bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(eval_chunk=st.integers(1, 40), window_chunk=st.integers(1, 80),
+           block=st.integers(1, 600), stride=st.sampled_from([16, 8, 1]),
+           rows=st.integers(128, 900))
+    def test_pool_and_one_worker_give_the_same_bytes(self, eval_chunk, window_chunk,
+                                                     block, stride, rows):
+        # strides 16, 8 and 1 run 1, 2 and 16 phase passes at S = 16, W = 128
+        net = build_model(ModelConfig(input_len=128), seed=rows)
+        series = random_series(rows, seed=stride)
+        x = windows_of(series, 128, 5)
+        results = {}
+        for workers in (one_worker, four_workers):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(classifier, "_workers", workers)
+                mp.setattr(classifier, "EVAL_CHUNK", eval_chunk)
+                mp.setattr(classifier, "WINDOW_CHUNK", window_chunk)
+                mp.setattr(classifier, "FRONT_END_BLOCK", block)
+                results[workers] = (predict_proba(net, x).tobytes(),
+                                    predict_windows(net, series, stride).tobytes())
+        assert results[one_worker] == results[four_workers]
+
+    def test_two_threads_on_one_network_match_a_serial_call(self):
+        import threading
+
+        net = build_model(ModelConfig(input_len=128), seed=31)
+        x, _ = make_set(40, w=128, seed=31)
+        want = predict_proba(net, x)
+        barrier, got = threading.Barrier(2), [None, None]
+
+        def call(k):
+            barrier.wait()
+            got[k] = predict_proba(net, x)
+
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for probs in got:
+            assert probs.tobytes() == want.tobytes()
+
+    def test_a_unit_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(classifier, "_workers", four_workers)
+        net = build_model(ModelConfig(), seed=32)
+        net.layers[14] = Dense(64, 5)
+        x, labels = make_set(20, w=128, seed=32)  # 80 epochs: three chunks
+        shape = re.escape("shape (5,) per epoch, not (4,)")
+        with pytest.raises(ContractError, match=shape):
+            predict_proba(net, x)
+        with pytest.raises(ContractError, match=shape):
+            evaluate(net, x, labels, np.arange(len(x)))
+
+    @pytest.mark.parametrize("stride", [8, 999])  # phase passes, whole windows
+    def test_the_pool_leaves_no_thread_running(self, stride, monkeypatch):
+        import threading
+
+        monkeypatch.setattr(classifier, "_workers", four_workers)
+        net = build_model(ModelConfig(input_len=128), seed=33)
+        before = threading.active_count()
+        predict_windows(net, random_series(2000, seed=33), stride)
+        assert threading.active_count() == before
+
+    def test_worker_count_follows_the_usable_cpus(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert [classifier._workers(n) for n in (0, 1, 2, 3, 9)] == [1, 1, 2, 3, 3]
+        monkeypatch.delattr(os, "sched_getaffinity")  # where the platform has none
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert classifier._workers(9) == 1

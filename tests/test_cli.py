@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from kinemotion import bundled_table
 from kinemotion.cli import build_parser, run
+from kinemotion.dataset import KEY_MOVEMENTS, Annotation
 from kinemotion.nn.checkpoint import MAGIC
 
 
@@ -199,6 +201,16 @@ def random_recording(path, rows, annotations=()):
     return rec
 
 
+def reference_classify_csv(spans, probs):
+    """The classify CSV as the per-row writer formatted it: one f-string per
+    row, from (start, end, true label) spans and the probabilities."""
+    lines = ["start_index,end_index,true_label,predicted,p_M1,p_M2,p_M3,p_M4\n"]
+    for (start, end, truth), row in zip(spans, probs.tolist()):
+        lines.append(f"{start},{end},{truth},{KEY_MOVEMENTS[int(np.argmax(row))]},"
+                     + ",".join(f"{p:.10g}" for p in row) + "\n")
+    return "".join(lines)
+
+
 def classified_rows(path):
     import csv
 
@@ -318,6 +330,62 @@ class TestClassifyChunks:
         monkeypatch.setattr(cli, "CSV_BLOCK", 3)  # blocks of 3, 1
         assert run_cli(*argv) == 0
         assert capsys.readouterr().out == whole
+
+    @pytest.mark.parametrize("stride", [1, 8, 25, 64, None])  # None: segments
+    def test_block_writer_matches_the_per_row_reference(self, trained_dir, tmp_path,
+                                                        monkeypatch, stride):
+        from kinemotion import cli
+        from kinemotion.classifier import predict_proba, predict_windows
+        from kinemotion.dataset import extract_epochs, parse_recording
+        from kinemotion.kinematics import window_offsets
+        from kinemotion.nn import load_checkpoint
+
+        monkeypatch.setattr(cli, "CSV_BLOCK", 100)  # blocks of 100 and a last one
+        random_recording(tmp_path / "rec.csv", rows=700,
+                         annotations=[Annotation(5, 300, "M2"), Annotation(320, 690, "M4")])
+        rec = parse_recording(tmp_path / "rec.csv")
+        net = load_checkpoint(trained_dir / "model.knm").net
+        argv = ["classify", "--recording", str(tmp_path / "rec.csv"),
+                "--checkpoint", str(trained_dir / "model.knm"), "--out", str(tmp_path / "c.csv")]
+        if stride is None:
+            assert run_cli(*argv) == 0
+            data = extract_epochs([rec], 96)
+            spans = zip(data.starts.tolist(), data.ends.tolist(),
+                        [KEY_MOVEMENTS[k] for k in data.labels])
+            want = reference_classify_csv(list(spans), predict_proba(net, data.x))
+        else:
+            assert run_cli(*argv, "--mode", "windows", "--stride", str(stride)) == 0
+            offsets = window_offsets(700, 96, stride)
+            want = reference_classify_csv([(o, o + 96, "") for o in offsets],
+                                          predict_windows(net, rec.series, stride))
+        assert (tmp_path / "c.csv").read_text(encoding="utf-8") == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(p=st.floats() | st.integers(0, 2**64 - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]))
+    def test_percent_format_matches_the_format_spec(self, p):
+        # the block writer's %-call and the per-row writer's f-string
+        assert "%.10g" % p == f"{p:.10g}"
+
+    def test_a_unit_error_in_classify_exits_2(self, synth_dir, tmp_path, capsys,
+                                              monkeypatch):
+        from kinemotion import classifier, cli
+        from kinemotion.classifier import ModelConfig, build_model
+        from kinemotion.nn import Dense, save_checkpoint
+
+        net = build_model(ModelConfig(), seed=0)
+        net.layers[14] = Dense(64, 5)
+        save_checkpoint(tmp_path / "bad_head.knm", net, seed=0)
+        # past the load-time check, the first forward pass of a unit refuses it
+        monkeypatch.setattr(cli, "check_network", lambda net: None)
+        monkeypatch.setattr(classifier, "_workers", lambda units: min(4, units))
+        code = run_cli("classify", "--recording", str(self.first_recording(synth_dir)),
+                       "--checkpoint", str(tmp_path / "bad_head.knm"))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ("error: the network gives scores of shape (5,) per "
+                                "epoch, not (4,)\n")
+        assert captured.out == ""
 
     def test_segments_across_chunk_boundaries_match_predict(
         self, trained_dir, tmp_path, monkeypatch
@@ -1014,6 +1082,34 @@ class TestUsageAndExitCodes:
         missing = python_m("classify", "--recording", "rec.csv")
         assert missing.returncode == 1
         assert "required: --checkpoint" in missing.stderr
+
+    def test_the_command_line_pins_blas_and_the_library_does_not(self):
+        # the console script and `python -m kinemotion` import kinemotion.__main__
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import kinemotion
+
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(kinemotion.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        probe = "import os, sys; print([os.environ.get(v) for v in sys.argv[1:]])"
+
+        def blas_after(module, **user):
+            done = subprocess.run(
+                [sys.executable, "-c", f"import {module}; {probe}", *blas],
+                env={**env, **user}, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        assert blas_after("kinemotion.__main__") == "['1', '1', '1']\n"
+        assert blas_after("kinemotion.__main__", OPENBLAS_NUM_THREADS="2") == (
+            "['2', '1', '1']\n")  # a count the user set is kept
+        assert blas_after("kinemotion.cli") == "[None, None, None]\n"
 
     def test_every_option_is_documented_in_help(self):
         # walk each subparser: every registered option string must be

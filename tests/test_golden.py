@@ -9,8 +9,17 @@ difference here is a change of output, not of design.
 ``tests/golden/assess_data`` holds what ``kinemotion assess --data`` writes
 for the recordings of :func:`write_assess_data`, written before the data
 path was moved onto the reference-table comparison and flags.
+
+``tests/golden/train/w<window>`` holds what :func:`train_golden` gives:
+``train_log.csv``, ``confusion.csv`` and ``param_sums.csv`` (the sum of
+each parameter array of the final model).  Losses and sums are compared to
+1e-9 relative, so a last-bit difference of BLAS passes; accuracies and the
+confusion matrix exactly.  ``python tests/regenerate_train_golden.py``
+rewrites them, for a change that moves training's numbers on purpose.
 """
 
+import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +29,7 @@ from kinemotion import bundled_table
 from kinemotion.cli import run
 from kinemotion.dataset import Annotation, Recording, write_recording
 from kinemotion.kinematics import ACCELERATION, TimeSeries3D
+from kinemotion.nn import load_checkpoint
 
 GOLDEN = Path(__file__).parent / "golden"
 TABLES = [
@@ -100,3 +110,50 @@ def test_assess_data_matches_golden(tmp_path):
     assert run(["assess", "--data", str(tmp_path / "data"), "--out", str(out)]) == 0
     expected = GOLDEN / "assess_data"
     assert_same_files(out, expected, [p.name for p in expected.iterdir()])
+
+
+TRAIN_WINDOWS = (128, 256)
+
+
+def write_train_data(out_dir):
+    """The training golden's dataset: synth 12 segments per class, seed 1."""
+    assert run(["synth", "--n-per-class", "12", "--seed", "1", "--out", str(out_dir)]) == 0
+
+
+def train_golden(data_dir, out_dir, window):
+    """{file name: text} of ``train --epochs 3 --seed 1`` at ``window``."""
+    assert run(["train", "--data", str(data_dir), "--out", str(out_dir), "--epochs", "3",
+                "--seed", "1", "--window", str(window)]) == 0
+    params = load_checkpoint(Path(out_dir) / "model.knm").net.parameters()
+    sums = "".join(f"{name},{float(arr.sum())!r}\n" for name, arr in params.items())
+    files = {name: (Path(out_dir) / name).read_text(encoding="utf-8")
+             for name in ("train_log.csv", "confusion.csv")}
+    return {**files, "param_sums.csv": "name,sum\n" + sums}
+
+
+def csv_rows(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
+@pytest.fixture(scope="module")
+def train_data(tmp_path_factory):
+    path = tmp_path_factory.mktemp("train") / "data"
+    write_train_data(path)
+    return path
+
+
+@pytest.mark.parametrize("window", TRAIN_WINDOWS)
+def test_training_matches_golden(train_data, tmp_path, window):
+    got = train_golden(train_data, tmp_path, window)
+    expected = {name: (GOLDEN / "train" / f"w{window}" / name).read_text(encoding="utf-8")
+                for name in got}
+    assert got["confusion.csv"] == expected["confusion.csv"]
+    log, want_log = csv_rows(got["train_log.csv"]), csv_rows(expected["train_log.csv"])
+    assert [row[:1] + row[2:] for row in log] == [row[:1] + row[2:] for row in want_log]
+    losses = [float(row[1]) for row in log[1:]]
+    np.testing.assert_allclose(losses, [float(row[1]) for row in want_log[1:]],
+                               rtol=1e-9, atol=0)
+    sums, want_sums = csv_rows(got["param_sums.csv"]), csv_rows(expected["param_sums.csv"])
+    assert [row[0] for row in sums] == [row[0] for row in want_sums]
+    np.testing.assert_allclose([float(row[1]) for row in sums[1:]],
+                               [float(row[1]) for row in want_sums[1:]], rtol=1e-9, atol=0)

@@ -186,7 +186,7 @@ class TestMaxPool:
     def test_values_and_tie_breaking(self):
         pool = MaxPool1D(kernel=2, stride=2)
         x = np.array([[1.0, 3.0, 5.0, 5.0], [2.0, 2.0, 0.0, -1.0]])
-        out = pool.forward(x[None])[0]
+        out = pool.forward(x[None], train=True)[0]
         np.testing.assert_array_equal(out, [[3.0, 5.0], [2.0, 0.0]])
         # the tied window routed its gradient to the earliest position
         dx = pool.backward(np.ones((1, 2, 2)))[0]
@@ -335,7 +335,7 @@ class TestDense:
         dense.params["w"] = np.array([[1.0, 2.0], [3.0, 4.0]])
         dense.params["b"] = np.array([0.5, -0.5])
         x = np.array([2.0, -1.0])
-        out = dense.forward(x[None])[0]
+        out = dense.forward(x[None], train=True)[0]
         np.testing.assert_array_equal(out, [2 - 3 + 0.5, 4 - 4 - 0.5])
         dout = np.array([1.0, -2.0])
         dx = dense.backward(dout[None])[0]
@@ -346,7 +346,7 @@ class TestDense:
     def test_backward_restores_2d_input_shape(self):
         dense = Dense(6, 2, rng=np.random.default_rng(0))
         x = np.arange(6.0).reshape(1, 2, 3)
-        dense.forward(x)
+        dense.forward(x, train=True)
         dx = dense.backward(np.array([[1.0, -1.0]]))
         assert dx.shape == (1, 2, 3)
 
@@ -558,7 +558,7 @@ class TestBatchedEngine:
     def test_maxpool_overlapping_windows_route_every_gradient(self):
         pool = MaxPool1D(kernel=3, stride=1)
         x = np.array([[[1.0, 4.0, 2.0, 0.0, 3.0]]])
-        np.testing.assert_array_equal(pool.forward(x), [[[4.0, 4.0, 3.0]]])
+        np.testing.assert_array_equal(pool.forward(x, train=True), [[[4.0, 4.0, 3.0]]])
         dx = pool.backward(np.array([[[1.0, 2.0, 5.0]]]))
         np.testing.assert_array_equal(dx, [[[0.0, 3.0, 0.0, 0.0, 5.0]]])
 
@@ -690,10 +690,10 @@ class TestNetworkDeterminism:
         dout = np.ones_like(layer.forward(x, train=True))
         layer.backward(dout)  # a train-mode forward kept what backward reads
         message = rf"^{type(layer).__name__}\(.*\): backward needs a train-mode forward"
-        if isinstance(layer, (Conv1D, LSTM)):  # an eval-mode forward keeps nothing
-            layer.forward(x)
-            with pytest.raises(ContractError, match=message):
-                layer.backward(dout)
+        layer.forward(x)  # an eval-mode forward keeps nothing
+        assert layer._cache is None
+        with pytest.raises(ContractError, match=message):
+            layer.backward(dout)
         layer.forward(x, train=True)
         Network([layer]).forward(x)  # an eval-mode pass clears every cache
         with pytest.raises(ContractError, match=message):
