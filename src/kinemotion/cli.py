@@ -268,7 +268,7 @@ def _cmd_assess(args):
 
     sset = smoothness_set(load_dataset_dir(args.data))
     if not len(sset.movements):
-        raise ConfigError(f"no labelled segments under {args.data}")
+        raise ConfigError(f"no labelled segments found under {args.data}")
 
     if set(sset.groups.tolist()) == set(COHORTS):
         for measure in MEASURES:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -115,7 +115,12 @@ def metadata_fault(group, session, hand, scenario):
 
 @dataclass(frozen=True)
 class Recording:
-    """One wrist recording of one subject session, with labelled segments."""
+    """One wrist recording of one subject session, with labelled segments.
+
+    ``checked=True`` says the caller has already made the metadata and
+    annotation checks, as :func:`parse_recording` does with file, line and
+    field; they are then not run again.
+    """
 
     subject_id: str
     group: str
@@ -124,14 +129,16 @@ class Recording:
     scenario: str
     series: TimeSeries3D
     annotations: tuple[Annotation, ...] = ()
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
-        fault = metadata_fault(self.group, self.session, self.hand, self.scenario)
-        if fault is not None:
-            raise ContractError(fault[1])
-        fault = annotation_fault(self.annotations, len(self.series))
-        if fault is not None:
-            raise ContractError(fault[2])
+    def __post_init__(self, checked):
+        if not checked:
+            fault = metadata_fault(self.group, self.session, self.hand, self.scenario)
+            if fault is not None:
+                raise ContractError(fault[1])
+            fault = annotation_fault(self.annotations, len(self.series))
+            if fault is not None:
+                raise ContractError(fault[2])
         anns = tuple(sorted(self.annotations, key=lambda a: a.start))
         object.__setattr__(self, "annotations", anns)
 
@@ -167,9 +174,14 @@ def _sidecar_paths(path):
     return path, stem.with_suffix(".annotations.csv"), stem.with_suffix(".meta")
 
 
-def _not_utf8(path) -> ParseError:
-    """The error for a file that is not UTF-8, naming the line of its first bad byte."""
-    raw = Path(path).read_bytes()
+def _read_bytes(path) -> bytes:
+    with open(path, "rb", buffering=0) as fh:  # one read, no buffer to fill
+        return fh.read()
+
+
+def _not_utf8(raw, path) -> ParseError:
+    """The error for the bytes ``raw`` of ``path``, which are not UTF-8,
+    naming the line of their first bad byte."""
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -177,22 +189,26 @@ def _not_utf8(path) -> ParseError:
         # \n, \r and \r\n each end a line, as in universal-newline reading
         line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
         return ParseError(f"not UTF-8 text: {exc.reason}", path=path, line=line)
-    return ParseError("not UTF-8 text", path=path)  # the file changed meanwhile
+    raise AssertionError(f"{path}: a chunk failed to decode but the whole decodes")
 
 
-def read_csv_body(path, header, what) -> list[list[str]]:
-    """The records after the header of a UTF-8 CSV file, split by ``csv.reader``.
+def _csv_rows(raw, path, header, what) -> list[list[str]]:
+    """The records after the header in the UTF-8 CSV bytes ``raw`` of ``path``,
+    split by ``csv.reader`` as from the file opened with ``newline=""``.
 
-    An empty file, a first record other than ``header``, bytes that are
-    not UTF-8 or a record the reader rejects (e.g. a field over the csv
+    No bytes, a first record other than ``header``, bytes that are not
+    UTF-8 or a record the reader rejects (e.g. a field over the csv
     module's size limit) raise :class:`ParseError` naming the line.
     """
+    # decoded as read, 8 KiB at a time, as from a file: a record the reader
+    # rejects before the chunk of the first bad byte is the error reported
+    reader = csv.reader(
+        io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+    )
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+        rows = list(reader)
     except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+        raise _not_utf8(raw, path) from None
     except csv.Error as exc:
         raise ParseError(
             f"malformed CSV: {exc}", path=path, line=reader.line_num
@@ -207,6 +223,11 @@ def read_csv_body(path, header, what) -> list[list[str]]:
             field="header",
         )
     return rows[1:]
+
+
+def read_csv_body(path, header, what) -> list[list[str]]:
+    """The records after the header of a UTF-8 CSV file: see :func:`_csv_rows`."""
+    return _csv_rows(_read_bytes(path), path, header, what)
 
 
 def _parse_float(text, path, line, fieldname):
@@ -256,8 +277,8 @@ def _raise_first_row_error(path, body):
 _PLAIN_BYTES = b"0123456789+-.eE,\r\n"
 
 
-def _read_plain_signal(path):
-    """The (n, 4) values of a plain signal file, read in one C-level pass.
+def _read_plain_signal(raw):
+    """The (n, 4) values of a plain signal file's bytes, in one C-level pass.
 
     None for any file that is not plain (see the module docstring), has a
     blank line or a line over the csv field size limit, fewer than two
@@ -265,7 +286,6 @@ def _read_plain_signal(path):
     path then decides, so this path accepts only what it accepts and
     gives bit-identical values.
     """
-    raw = Path(path).read_bytes()
     header = ",".join(_SIGNAL_HEADER).encode()
     if not raw.startswith((header + b"\n", header + b"\r\n")):
         return None
@@ -304,9 +324,9 @@ def _read_plain_signal(path):
     return values
 
 
-def _read_csv_signal(path):
-    """The (n, 4) values of any signal file, read with ``csv.reader``."""
-    body = read_csv_body(path, _SIGNAL_HEADER, "signal")
+def _read_csv_signal(raw, path):
+    """The (n, 4) values of any signal file's bytes, read with ``csv.reader``."""
+    body = _csv_rows(raw, path, _SIGNAL_HEADER, "signal")
     # One width check, one conversion of every value with ``float`` and one
     # finiteness check; only when one fails does the row walk find the error.
     values = None
@@ -325,9 +345,10 @@ def _read_csv_signal(path):
 
 
 def _read_signal(path):
-    values = _read_plain_signal(path)
+    raw = _read_bytes(path)
+    values = _read_plain_signal(raw)
     if values is None:
-        values = _read_csv_signal(path)
+        values = _read_csv_signal(raw, path)
     return values[:, 0], values[:, 1:]  # views: TimeSeries3D makes the one copy
 
 
@@ -357,13 +378,14 @@ def read_key_values(path, keys, what) -> dict:
     :class:`ParseError` naming the line.
     """
     found = {}
+    raw = _read_bytes(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        raise _not_utf8(raw, path) from None
+    # \n, \r and \r\n each end a line, as in a file opened in text mode
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
@@ -394,8 +416,8 @@ def parse_recording(path) -> Recording:
     """Load and validate a recording from its signal file path.
 
     Annotation and metadata sidecars are located next to the signal
-    file.  Any structural defect raises :class:`ParseError` naming the
-    file, line and field.
+    file; each of the three files is read once.  Any structural defect
+    raises :class:`ParseError` naming the file, line and field.
     """
     sig_path, ann_path, meta_path = _sidecar_paths(path)
     times, samples = _read_signal(sig_path)
@@ -438,12 +460,14 @@ def parse_recording(path) -> Recording:
         i, field, message = fault
         raise ParseError(message, path=ann_path, line=lines[i], field=field)
 
-    series = TimeSeries3D(fs=fs, samples=samples, order=ACCELERATION)
+    # every check of the two constructors is made above, naming the file
+    series = TimeSeries3D(fs=fs, samples=samples, order=ACCELERATION, checked=True)
     return Recording(
         subject_id=meta["subject_id"][1],
         series=series,
         **values,
         annotations=tuple(annotations),
+        checked=True,
     )
 
 
@@ -492,14 +516,20 @@ def write_recording(rec: Recording, path) -> None:
 
 
 def load_dataset_dir(directory) -> list[Recording]:
-    """Parse every ``*.csv`` signal file in a directory (sorted by name)."""
+    """Parse every ``*.csv`` signal file in a directory, in name order; a path
+    that is not a directory raises NotADirectoryError naming it."""
     directory = Path(directory)
-    recs = []
-    for sig in sorted(directory.glob("*.csv")):
-        if sig.name.endswith(".annotations.csv"):
-            continue
-        recs.append(parse_recording(sig))
-    return recs
+    try:
+        # child paths made by iterdir, unlike ``directory / name``, do not
+        # put every file name into the interpreter's interned strings
+        paths = sorted(directory.iterdir())
+    except (FileNotFoundError, NotADirectoryError):
+        raise NotADirectoryError(f"{directory} is not a directory") from None
+    return [
+        parse_recording(path)
+        for path in paths
+        if path.name.endswith(".csv") and not path.name.endswith(".annotations.csv")
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ data therefore enters at order 2 and one differentiation yields jerk.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -52,20 +52,24 @@ class TimeSeries3D:
         Derivative order relative to the position trajectory.
     unit : str
         Free-form unit tag.  Carried as metadata only, never converted.
+    checked : bool
+        True when the caller has already found every sample finite, as a
+        parser naming the file and line does; the check is not run again.
     """
 
     fs: float
     samples: np.ndarray
     order: int = ACCELERATION
     unit: str = "m/s^2"
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked):
         if not np.isfinite(self.fs) or self.fs <= 0:
             raise ContractError(f"sampling rate must be positive, got {self.fs}")
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise ContractError(f"samples must have shape (n, 3), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not checked and not np.all(np.isfinite(arr)):
             raise InvalidDataError("samples contain NaN or Inf")
         arr = arr.copy()
         arr.flags.writeable = False

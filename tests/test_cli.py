@@ -1058,6 +1058,29 @@ class TestUsageAndExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["train", "eval", "assess"])
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_data_that_is_not_a_directory_is_a_data_error(
+        self, synth_dir, trained_dir, tmp_path, capsys, command, kind
+    ):
+        data = tmp_path / "nope"
+        if kind == "file":
+            data.write_text("t,ax,ay,az\n")
+        argv = [command, "--data", str(data), "--out", str(tmp_path / "out")]
+        if command == "eval":
+            argv += ["--checkpoint", str(trained_dir / "model.knm")]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {data} is not a directory\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "assess"])
+    def test_data_without_key_segments_is_one_message(self, tmp_path, capsys, command):
+        data = tmp_path / "empty"
+        data.mkdir()
+        assert run_cli(command, "--data", str(data), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: no labelled segments found under {data}\n"
+
     @pytest.mark.parametrize("module", ["kinemotion", "kinemotion.cli"])
     def test_python_m_runs_the_command_line(self, module):
         # main() and its exit status, as `python -m` runs them

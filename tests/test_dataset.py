@@ -2,8 +2,11 @@
 
 import csv
 import io
+import re
+import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from kinemotion.dataset import (
     annotation_fault,
     augment_offsets,
     extract_epochs,
+    load_dataset_dir,
     metadata_fault,
     parse_recording,
     shifted_rows,
@@ -28,7 +32,7 @@ from kinemotion.dataset import (
     write_recording,
 )
 from kinemotion.errors import ContractError, InvalidDataError, ParseError
-from kinemotion.kinematics import TimeSeries3D, differentiate
+from kinemotion.kinematics import ACCELERATION, TimeSeries3D, differentiate
 
 
 def make_recording(n=200, fs=50.0, annotations=(), seed=0, group="healthy", session=1):
@@ -73,6 +77,22 @@ class TestRecordingModel:
         for label in ("M5", "R20"):
             with pytest.raises(ContractError, match=f"unknown movement label '{label}'"):
                 make_recording(annotations=[Annotation(0, 10, label)])
+
+    def test_checked_skips_the_checks_but_not_the_normalisation(self):
+        samples = np.zeros((20, 3))
+        samples[3, 1] = np.nan
+        with pytest.raises(InvalidDataError):
+            TimeSeries3D(fs=50.0, samples=samples)
+        series = TimeSeries3D(fs=50.0, samples=samples, checked=True)
+        assert series.samples is not samples and not series.samples.flags.writeable
+        anns = (Annotation(12, 18, "M2"), Annotation(0, 30, "M9"))
+        with pytest.raises(ContractError, match="unknown movement label 'M9'"):
+            Recording("S", "healthy", 1, "dominant", "L1", series, anns)
+        rec = Recording("S", "healthy", 1, "dominant", "L1", series, anns, checked=True)
+        assert [a.start for a in rec.annotations] == [0, 12]
+        # replace builds anew, checks included
+        with pytest.raises(ContractError, match="unknown movement label 'M9'"):
+            replace(rec, annotations=anns[1:])
 
 
 class TestRulesStatedOnce:
@@ -527,7 +547,7 @@ class TestBulkSignalReader:
         def no_csv(*args):
             raise AssertionError("csv path taken")
 
-        monkeypatch.setattr(dataset, "read_csv_body", no_csv)
+        monkeypatch.setattr(dataset, "_csv_rows", no_csv)
         assert outcome(_read_signal, path) == expected
         assert expected[0] == "ok"
 
@@ -561,7 +581,8 @@ class TestBulkSignalReader:
         spaced = write_fixture(tmp_path, rec, stem="spaced")
         header, body = spaced.read_bytes().split(b"\n", 1)
         spaced.write_bytes(header + b"\n" + body.replace(b",", b", "))
-        assert dataset._read_plain_signal(spaced) is None  # the csv path reads it
+        # the csv path reads it
+        assert dataset._read_plain_signal(spaced.read_bytes()) is None
         for path in (plain, spaced):
             samples = parse_recording(path).series.samples
             assert samples.flags.c_contiguous and not samples.flags.writeable
@@ -649,6 +670,372 @@ class TestMalformedBytes:
         with pytest.raises(ParseError) as err:
             _read_signal(sig)
         assert err.value.line == 4
+
+
+# ---------------------------------------------------------------------------
+# The ingest that load_dataset_dir replaced, kept as its reference
+# ---------------------------------------------------------------------------
+
+
+def reference_sidecar_paths(path):
+    path = Path(path)
+    stem = path.with_suffix("")
+    return path, stem.with_suffix(".annotations.csv"), stem.with_suffix(".meta")
+
+
+def reference_not_utf8(path):
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start].decode("utf-8")
+        line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+        return ParseError(f"not UTF-8 text: {exc.reason}", path=path, line=line)
+    return ParseError("not UTF-8 text", path=path)
+
+
+def reference_read_csv_body(path, header, what):
+    """The CSV reader over a text-mode file, decoded as it is read."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            rows = list(reader)
+    except UnicodeDecodeError:
+        raise reference_not_utf8(path) from None
+    except csv.Error as exc:
+        raise ParseError(
+            f"malformed CSV: {exc}", path=path, line=reader.line_num
+        ) from None
+    if not rows:
+        raise ParseError(f"empty {what} file", path=path, line=1)
+    if rows[0] != header:
+        raise ParseError(
+            f"expected header {','.join(header)}, got {','.join(rows[0])}",
+            path=path,
+            line=1,
+            field="header",
+        )
+    return rows[1:]
+
+
+def reference_read_key_values(path, keys, what):
+    """The key=value reader over a text-mode file's readlines."""
+    found = {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise reference_not_utf8(path) from None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError("expected key=value", path=path, line=line_no)
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in keys:
+            raise ParseError(
+                f"unknown {what} key {key!r}", path=path, line=line_no, field=key
+            )
+        if key in found:
+            raise ParseError(
+                f"duplicate {what} key {key!r}", path=path, line=line_no, field=key
+            )
+        found[key] = (line_no, value)
+    return found
+
+
+def reference_signal(path):
+    """The csv path of the signal reader, every file through it: the plain
+    path gives the same values where it reads a file (TestBulkSignalReader)."""
+    body = reference_read_csv_body(path, ["t", "ax", "ay", "az"], "signal")
+    rows = []
+    for line_no, row in enumerate(body, start=2):
+        if len(row) != 4:
+            raise ParseError(
+                f"expected 4 columns, got {len(row)}", path=path, line=line_no
+            )
+        rows.append([reference_parse_float(text, path, line_no, name)
+                     for text, name in zip(row, ["t", "ax", "ay", "az"])])
+    if len(rows) < 2:
+        raise ParseError("signal needs at least 2 rows", path=path, line=2)
+    values = np.array(rows)
+    return values[:, 0], values[:, 1:]
+
+
+def reference_parse_recording(path):
+    """parse_recording as it was: three text-mode reads, then the series and
+    recording constructors run their own checks once more."""
+    sig_path, ann_path, meta_path = reference_sidecar_paths(path)
+    times, samples = reference_signal(sig_path)
+    keys = ("subject_id", "group", "session", "hand", "scenario", "fs_hz")
+    meta = reference_read_key_values(meta_path, keys, "metadata")
+    for key in keys:
+        if key not in meta:
+            raise ParseError(f"missing metadata key {key!r}", path=meta_path, field=key)
+
+    fs_line, fs_text = meta["fs_hz"]
+    fs = reference_parse_float(fs_text, meta_path, fs_line, "fs_hz")
+    if fs <= 0:
+        raise ParseError("fs_hz must be positive", meta_path, fs_line, "fs_hz")
+    values = {key: meta[key][1] for key in ("group", "hand", "scenario")}
+    session_line, session_text = meta["session"]
+    try:
+        values["session"] = int(session_text)
+    except ValueError:
+        raise ParseError(f"not an integer: {session_text!r}", path=meta_path,
+                         line=session_line, field="session") from None
+    fault = metadata_fault(**values)
+    if fault is not None:
+        key, message = fault
+        raise ParseError(message, path=meta_path, line=meta[key][0], field=key)
+
+    dt = np.diff(times)
+    if np.any(dt <= 0):
+        bad = int(np.argmax(dt <= 0))
+        raise ParseError("time column must be strictly increasing",
+                         path=sig_path, line=bad + 3, field="t")
+    if np.any(np.abs(dt - 1.0 / fs) > 1e-6 / fs):
+        bad = int(np.argmax(np.abs(dt - 1.0 / fs) > 1e-6 / fs))
+        raise ParseError(f"time column is not uniform at 1/fs_hz = {1.0 / fs}",
+                         path=sig_path, line=bad + 3, field="t")
+
+    lines, annotations = [], []
+    body = reference_read_csv_body(
+        ann_path, ["start_index", "end_index", "label"], "annotation"
+    )
+    for line_no, row in enumerate(body, start=2):
+        if len(row) != 3:
+            raise ParseError(
+                f"expected 3 columns, got {len(row)}", path=ann_path, line=line_no
+            )
+        ints = []
+        for text, name in zip(row, ["start_index", "end_index"]):
+            try:
+                ints.append(int(text))
+            except ValueError:
+                raise ParseError(f"not an integer: {text!r}", path=ann_path,
+                                 line=line_no, field=name) from None
+        lines.append(line_no)
+        annotations.append(Annotation(*ints, row[2]))
+    fault = annotation_fault(annotations, len(samples))
+    if fault is not None:
+        i, field, message = fault
+        raise ParseError(message, path=ann_path, line=lines[i], field=field)
+
+    series = TimeSeries3D(fs=fs, samples=samples, order=ACCELERATION)
+    return Recording(subject_id=meta["subject_id"][1], series=series, **values,
+                     annotations=tuple(annotations))
+
+
+def reference_load_dataset_dir(directory):
+    """load_dataset_dir as it was: a sorted glob, one reference parse per file."""
+    return [reference_parse_recording(sig)
+            for sig in sorted(Path(directory).glob("*.csv"))
+            if not sig.name.endswith(".annotations.csv")]
+
+
+def field_values(obj):
+    """Every dataclass field of ``obj``, nested, with arrays as their shape,
+    dtype, flags and int64 bits (so -0.0 differs from 0.0)."""
+    if isinstance(obj, np.ndarray):
+        return (obj.shape, obj.dtype.str, obj.flags.c_contiguous, obj.flags.writeable,
+                obj.view(np.int64).tobytes())
+    if is_dataclass(obj):
+        return (type(obj).__name__,
+                tuple((f.name, field_values(getattr(obj, f.name))) for f in fields(obj)))
+    if isinstance(obj, tuple):
+        return tuple(field_values(item) for item in obj)
+    return (type(obj).__name__, obj)
+
+
+def load_outcome(load, directory):
+    """The recordings a loader makes of a directory, or its error's details."""
+    try:
+        return ("ok", [field_values(rec) for rec in load(directory)])
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.path, exc.line, exc.field)
+    except OSError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _drop_fs(text):
+    return "".join(l for l in text.splitlines(True) if not l.startswith("fs_hz"))
+
+
+def _append_to_line(raw, index, junk):
+    lines = raw.split(b"\n")
+    lines[min(index, len(lines) - 1)] += junk
+    return b"\n".join(lines)
+
+
+def _edit_line(raw, index, edit):
+    lines = raw.decode().split("\n")
+    lines[index] = edit(lines[index])
+    return "\n".join(lines).encode()
+
+
+def _scale_time(line):
+    t, rest = line.split(",", 1)
+    return f"{float(t) * 1.01!r},{rest}"
+
+
+# One defect each, as TestMalformedCorpus and TestMalformedBytes make them,
+# plus edits that leave a file valid but off the one-pass reader's path.
+# Each maps a file's bytes to new bytes; "annotations", "meta" or "signal"
+# says which of a recording's three files it edits.
+CORRUPTIONS = {
+    "meta": {
+        "unknown key": lambda raw: raw + b"unexpected=1\n",
+        "duplicate key": lambda raw: raw + b"hand=both\n",
+        "missing key": lambda raw: _drop_fs(raw.decode()).encode(),
+        "bad group": lambda raw: raw.replace(b"group=healthy", b"group=clinic")
+                                    .replace(b"group=patient", b"group=clinic"),
+        "zero fs": lambda raw: re.sub(rb"fs_hz=.*", b"fs_hz=0", raw),
+        "text fs": lambda raw: raw.replace(b"fs_hz=", b"fs_hz=x"),
+        "session text": lambda raw: raw.replace(b"session=", b"session=s"),
+        "no equals": lambda raw: raw + b"just words\n",
+        "non-UTF-8": lambda raw: _append_to_line(raw, 2, b"\xff"),
+        "crlf (valid)": lambda raw: raw.replace(b"\n", b"\r\n"),
+        "cr (valid)": lambda raw: raw.replace(b"\n", b"\r"),
+    },
+    "annotations": {
+        "out of range": lambda raw: raw + b"4,99999,M1\n",
+        "bad label": lambda raw: raw + b"9999,10000,M9\n",
+        "not an integer": lambda raw: raw + b"x,40,M2\n",
+        "two columns": lambda raw: raw + b"4,30\n",
+        "overlap": lambda raw: raw + raw.split(b"\n")[1] + b"\n",
+        "bad header": lambda raw: b"start,end,label" + raw[raw.index(b"\n"):],
+        "empty": lambda raw: b"",
+        "reversed rows (valid)": lambda raw: b"\n".join(
+            (lambda ls: ls[:1] + ls[-2:0:-1] + [b""])(raw.split(b"\n"))),
+        "non-UTF-8": lambda raw: _append_to_line(raw, 1, b"\xff"),
+        "over-long field": lambda raw: _append_to_line(raw, 1, b"9" * 140_000),
+    },
+    "signal": {
+        "non-uniform time": lambda raw: _edit_line(raw, 3, _scale_time),
+        "swapped rows": lambda raw: b"\n".join(
+            (lambda ls: ls[:2] + [ls[3], ls[2]] + ls[4:])(raw.split(b"\n"))),
+        "repeated time": lambda raw: b"\n".join(
+            (lambda ls: ls[:3] + [ls[2][:ls[2].index(b",")] + ls[3][ls[3].index(b","):]]
+             + ls[4:])(raw.split(b"\n"))),
+        "one row": lambda raw: b"\n".join(raw.split(b"\n")[:2]) + b"\n",
+        "text value": lambda raw: _edit_line(raw, 2, lambda l: l + "x"),
+        "nan value": lambda raw: _edit_line(raw, 2, lambda l: l.rsplit(",", 1)[0] + ",nan"),
+        "blank line": lambda raw: raw.replace(b"\n", b"\n\n", 2),
+        "spaces (valid)": lambda raw: raw.replace(b",", b", ").replace(b", ", b",", 3),
+        "crlf (valid)": lambda raw: raw.replace(b"\n", b"\r\n"),
+        "quoted (valid)": lambda raw: _edit_line(raw, 2, lambda l: '"' + l.replace(",", '",', 1)),
+        "non-UTF-8": lambda raw: _append_to_line(raw, 2, b"\xff"),
+        "over-long field": lambda raw: _append_to_line(raw, 1, b"9" * 140_000),
+    },
+}
+_SUFFIX = {"signal": ".csv", "annotations": ".annotations.csv", "meta": ".meta"}
+
+
+@st.composite
+def recording_dirs(draw):
+    """1-4 written recordings, each with at most one defect; stems drawn with
+    dots now and then, so a sidecar is named past two suffixes."""
+    stems = draw(st.lists(st.sampled_from(["a", "b", "c.v2", "d.x.y", "e."]),
+                          min_size=1, max_size=4, unique=True))
+    recs = []
+    for k, stem in enumerate(stems):
+        n = draw(st.integers(6, 60))
+        cuts = sorted(draw(st.sets(st.integers(0, n), max_size=6)))
+        spans = [(cuts[i], cuts[i + 1]) for i in range(0, len(cuts) - 1, 2)]
+        labels = draw(st.lists(st.sampled_from(["M1", "M2", "M3", "M4", "R7"]),
+                               min_size=len(spans), max_size=len(spans)))
+        patient = draw(st.booleans())
+        rec = make_recording(
+            n=n, fs=draw(st.sampled_from([50.0, 100.0, 7.0, 0.1])), seed=k,
+            annotations=[Annotation(s, e, lab) for (s, e), lab in zip(spans, labels)],
+            group="patient" if patient else "healthy",
+            session=draw(st.integers(1, 4)) if patient else 1,
+        )
+        which = draw(st.sampled_from([None, None, "signal", "annotations", "meta"]))
+        edit = None if which is None else draw(st.sampled_from(sorted(CORRUPTIONS[which])))
+        recs.append((stem, rec, which, edit))
+    return recs
+
+
+def write_recording_dir(directory, recs):
+    for stem, rec, _, _ in recs:
+        write_recording(rec, directory / f"{stem}.csv")
+    for stem, rec, which, edit in recs:
+        if which is not None:
+            target = reference_sidecar_paths(directory / f"{stem}.csv")[
+                ["signal", "annotations", "meta"].index(which)]
+            target.write_bytes(CORRUPTIONS[which][edit](target.read_bytes()))
+
+
+class TestIngestReference:
+    """load_dataset_dir and parse_recording against the ingest they replaced:
+    the same recordings, bit for bit, or the same ParseError (message, path,
+    line, field), the first bad file in name order being the one named."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(recs=recording_dirs())
+    def test_matches_reference_loader(self, recs):
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            write_recording_dir(directory, recs)
+            assert load_outcome(load_dataset_dir, directory) == load_outcome(
+                reference_load_dataset_dir, directory)
+            for sig in directory.glob("*.csv"):
+                if not sig.name.endswith(".annotations.csv"):
+                    assert load_outcome(lambda p: [parse_recording(p)], sig) == \
+                        load_outcome(lambda p: [reference_parse_recording(p)], sig)
+
+    @pytest.mark.parametrize("first, second", [
+        (("signal", "one row"), ("meta", "unknown key")),
+        (("signal", "swapped rows"), ("signal", "non-uniform time")),
+        (("annotations", "bad label"), ("signal", "non-UTF-8")),
+        (("meta", "non-UTF-8"), ("annotations", "over-long field")),
+    ])
+    def test_first_bad_file_in_name_order_is_named(self, tmp_path, first, second):
+        recs = [(stem, make_recording(n=50, annotations=[Annotation(4, 30, "M1")]), *bad)
+                for stem, bad in (("b", second), ("a", first), ("c", (None, None)))]
+        write_recording_dir(tmp_path, recs)
+        outcome = load_outcome(load_dataset_dir, tmp_path)
+        assert outcome == load_outcome(reference_load_dataset_dir, tmp_path)
+        assert outcome[0] == "ParseError"
+        assert outcome[2].name == "a" + _SUFFIX[first[0]]
+
+    @pytest.mark.parametrize("gap, message", [
+        (0, "not UTF-8"), (2000, "field larger than field limit")])
+    def test_a_csv_error_before_a_later_bad_byte_is_the_one_named(
+        self, tmp_path, gap, message
+    ):
+        # a text-mode file is decoded 8 KiB at a time, so the over-long field
+        # of line 2 is met first when the bad byte lies chunks further on
+        sig = write_fixture(tmp_path, make_recording(n=50))
+        ann = tmp_path / "rec.annotations.csv"
+        ann.write_bytes(b"start_index,end_index,label\n" + b"9" * 140_000 + b",1,M1\n"
+                        + b"1,2,R1\n" * gap + b"\xff\n")
+        outcome = load_outcome(lambda p: [parse_recording(p)], sig)
+        assert outcome == load_outcome(lambda p: [reference_parse_recording(p)], sig)
+        assert message in outcome[1]
+
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_a_path_that_is_not_a_directory_is_named(self, tmp_path, kind):
+        path = tmp_path / "nope"
+        if kind == "file":
+            path.write_text("")
+        with pytest.raises(NotADirectoryError,
+                           match=re.escape(f"{path} is not a directory")):
+            load_dataset_dir(path)
+
+    def test_parsed_recording_passes_its_constructors_checks(self, tmp_path):
+        rec = make_recording(n=120, annotations=[Annotation(5, 40, "M1")])
+        sig = write_fixture(tmp_path, rec)
+        (tmp_path / "rec.annotations.csv").write_text(
+            "start_index,end_index,label\n60,90,M2\n5,40,M1\n")
+        parsed = parse_recording(sig)
+        rebuilt = replace(parsed, series=replace(parsed.series))
+        assert field_values(rebuilt) == field_values(parsed)
+        assert [a.start for a in parsed.annotations] == [5, 60]
 
 
 def resample(series: TimeSeries3D, target_len: int) -> TimeSeries3D:
