@@ -143,17 +143,22 @@ def _split(data, args):
     return split_train_test(data.labels, cfg)
 
 
-def _write_report(obj, out_dir, stem):
-    # both formats are rendered before either file is written, so a cell
-    # that one of them cannot hold leaves no half-written report behind
-    csv_text, json_text = render_report(obj, "csv"), render_report(obj, "json")
+def _write_reports(out_dir, reports):
+    """Write each ``(obj, stem)`` report as ``<stem>.csv`` and ``<stem>.json``.
+
+    Every report is rendered in both formats before the first file is
+    written, so a cell that one of them cannot hold leaves no report
+    behind."""
+    texts = [(stem, render_report(obj, "csv"), render_report(obj, "json"))
+             for obj, stem in reports]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{stem}.csv"
-    json_path = out_dir / f"{stem}.json"
-    csv_path.write_text(csv_text, encoding="utf-8")
-    json_path.write_text(json_text, encoding="utf-8")
-    print(f"wrote {csv_path} and {json_path}")
+    for stem, csv_text, json_text in texts:
+        csv_path = out_dir / f"{stem}.csv"
+        json_path = out_dir / f"{stem}.json"
+        csv_path.write_text(csv_text, encoding="utf-8")
+        json_path.write_text(json_text, encoding="utf-8")
+        print(f"wrote {csv_path} and {json_path}")
 
 
 # ---------------------------------------------------------------------------
@@ -257,37 +262,44 @@ def _cmd_assess(args):
         if table.kind == "session":
             flags = evolution_from_table(table, axis=args.axis)
             stem = f"improvement_{args.patient}" if args.patient else "improvement"
-            _write_report(flags, args.out, stem)
+            _write_reports(args.out, [(flags, stem)])
             for movement in sorted(flags.movements):
                 sessions = sorted(flags.improved(movement))
                 print(f"{movement}: improved sessions {sessions or '{}'}")
         else:
-            _write_report(compare_cohort_table(table, axis=args.axis), args.out,
-                          "cohort_comparison")
+            _write_reports(args.out, [(compare_cohort_table(table, axis=args.axis),
+                                       "cohort_comparison")])
         return 0
 
     sset = smoothness_set(load_dataset_dir(args.data))
     if not len(sset.movements):
         raise ConfigError(f"no labelled segments found under {args.data}")
 
+    # every table is pooled and rendered before the first file is written
+    reports = []
     if set(sset.groups.tolist()) == set(COHORTS):
         for measure in MEASURES:
             table = table_from_records(sset, "cohort", measure, args.axis)
-            _write_report(compare_cohort_table(table, axis=args.axis), args.out,
-                          f"cohort_comparison_{measure}")
+            reports.append((compare_cohort_table(table, axis=args.axis),
+                            f"cohort_comparison_{measure}"))
 
+    rows_of = {}  # subject -> its rows, grouped in one pass
+    for row, subject in enumerate(sset.subject_ids.tolist()):
+        rows_of.setdefault(subject, []).append(row)
+    sessions = sset.sessions.tolist()
     for subject in sorted(set(sset.subject_ids[sset.groups == "patient"].tolist())):
-        own = sset.subject_ids == subject
-        if (sset.sessions[own] == 1).any():
+        own = rows_of[subject]
+        if any(sessions[row] == 1 for row in own):
             table = table_from_records(sset, "session", "squared_jerk", args.axis, own)
-            _write_report(evolution_from_table(table, axis=args.axis), args.out,
-                          f"improvement_{subject}")
+            reports.append((evolution_from_table(table, axis=args.axis),
+                            f"improvement_{subject}"))
+    _write_reports(args.out, reports)
     return 0
 
 
 def _cmd_report(args):
     table = load_table(args.fixtures)
-    _write_report(table, args.out, Path(args.fixtures).stem)
+    _write_reports(args.out, [(table, Path(args.fixtures).stem)])
     return 0
 
 

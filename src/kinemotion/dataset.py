@@ -515,9 +515,23 @@ def write_recording(rec: Recording, path) -> None:
     )
 
 
+def _sidecar_stem(path):
+    """What both sidecar names of signal file ``path`` start with, as
+    :func:`_sidecar_paths` derives them: ``a`` for ``a.csv`` and ``a.v1.csv``."""
+    name = path.name
+    if name.count(".") == 1 and not name.startswith("."):
+        return name[:-4]  # pathlib finds no second suffix to take off
+    return path.with_suffix("").with_suffix("").name
+
+
 def load_dataset_dir(directory) -> list[Recording]:
     """Parse every ``*.csv`` signal file in a directory, in name order; a path
-    that is not a directory raises NotADirectoryError naming it."""
+    that is not a directory raises NotADirectoryError naming it.
+
+    Two signal files whose names lead to the same sidecars (``a.v1.csv``
+    and ``a.v2.csv`` both to ``a.annotations.csv`` and ``a.meta``) raise
+    ParseError naming them, before any file is read.
+    """
     directory = Path(directory)
     try:
         # child paths made by iterdir, unlike ``directory / name``, do not
@@ -525,11 +539,19 @@ def load_dataset_dir(directory) -> list[Recording]:
         paths = sorted(directory.iterdir())
     except (FileNotFoundError, NotADirectoryError):
         raise NotADirectoryError(f"{directory} is not a directory") from None
-    return [
-        parse_recording(path)
+    signals = [
+        path
         for path in paths
         if path.name.endswith(".csv") and not path.name.endswith(".annotations.csv")
     ]
+    owners = {}
+    for path in signals:
+        owner = owners.setdefault(_sidecar_stem(path), path)
+        if owner is not path:
+            _, ann_path, meta_path = _sidecar_paths(path)
+            raise ParseError(f"signal files {owner.name} and {path.name} share the "
+                             f"sidecars {ann_path.name} and {meta_path.name}", path=directory)
+    return [parse_recording(path) for path in signals]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import operator
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, groupby
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +39,7 @@ from .dataset import (
     read_csv_body,
 )
 from .errors import ContractError, DegenerateInputError, InvalidDataError, ParseError
-from .kinematics import AXES, _axis_index, central_difference
+from .kinematics import AXES, _axis_index
 
 MEASURES = ("jerk", "squared_jerk")
 STATISTICS = ("mean", "max", "min")
@@ -62,34 +67,48 @@ class SmoothnessSet:
     movements: np.ndarray
 
 
+# Key-segment sample rows that smoothness_set differentiates in one pass.  A
+# pass holds two (rows, 3) float64 arrays and a per-row fs, about 56 KiB at
+# this size, while every recording is in memory; larger passes save only
+# numpy call overhead and raise the command's peak memory.
+SEGMENT_BLOCK = 1024
+
+
 def smoothness_set(recordings) -> SmoothnessSet:
     """Statistics of every key-movement (M1-M4) segment of some recordings.
 
     Rows follow the recordings, then their annotations.  The jerk of
     annotation ``a`` is ``differentiate(recording.series.slice(a.start, a.end))``,
-    by the :func:`central_difference` that ``differentiate`` calls; a mean
-    sums left to right (ufunc accumulate).  A segment under 3 samples, or
-    one whose statistics overflow float64, is an error.
+    by the arithmetic of :func:`central_difference`; a mean sums left to
+    right (ufunc accumulate).  A segment under 3 samples, or one whose
+    statistics overflow float64, is an error; the first in row order is
+    the one raised.
+
+    The segments are worked longest first, in passes of at most
+    SEGMENT_BLOCK sample rows (a longer segment alone): a pass gathers its
+    segments' samples back to back and differentiates them at once, takes
+    each segment's max and min with ``reduceat`` and sums each run of
+    equally long segments with one ``np.add.accumulate`` along time, which
+    adds row k of every segment of the run at step k.
     """
     keys = [(r, a) for r in recordings for a in r.annotations if is_key_movement(a.label)]
+    lengths = [a.end - a.start for _, a in keys]
+    # no row from the first too-short segment on is computed
+    stop = next((i for i, n in enumerate(lengths) if n < 3), len(keys))
     stats = np.empty((len(keys), len(MEASURES), len(STATISTICS), len(AXES)))
+    # longest first, so that equally long segments lie side by side
+    order = sorted(range(stop), key=lengths.__getitem__, reverse=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, (rec, a) in zip(stats, keys):
-            n = a.end - a.start
-            if n < 3:
-                raise DegenerateInputError(
-                    f"segment too short for jerk computation: {n} samples"
-                )
-            jerk = central_difference(rec.series.samples[a.start : a.end], rec.series.fs)
-            both = np.stack((jerk, jerk * jerk), axis=1)  # (n, measure, axis)
-            row[:, 0] = np.add.accumulate(both)[-1] / n
-            row[:, 1] = both.max(axis=0)
-            row[:, 2] = both.min(axis=0)
-            if not np.isfinite(row).all():
-                raise InvalidDataError(
-                    f"{rec.subject_id} session {rec.session} {a.label} "
-                    f"[{a.start}, {a.end}): jerk statistics overflow float64"
-                )
+        for rows in _passes(order, lengths):
+            stats[rows] = _pass_stats([keys[i] for i in rows], [lengths[i] for i in rows])
+    finite = np.isfinite(stats[:stop]).all(axis=(1, 2, 3)).tolist()
+    if False in finite:
+        raise InvalidDataError(
+            f"{_where(*keys[finite.index(False)])}: jerk statistics overflow float64"
+        )
+    if stop < len(keys):
+        raise DegenerateInputError(f"{_where(*keys[stop])}: segment too short for jerk "
+                                   f"computation: {lengths[stop]} samples")
     return SmoothnessSet(
         stats=stats,
         subject_ids=np.array([r.subject_id for r, _ in keys], dtype=str),
@@ -97,6 +116,54 @@ def smoothness_set(recordings) -> SmoothnessSet:
         sessions=np.array([r.session for r, _ in keys], dtype=np.int64),
         movements=np.array([a.label for _, a in keys], dtype=str),
     )
+
+
+def _where(rec, a):
+    return f"{rec.subject_id} session {rec.session} {a.label} [{a.start}, {a.end})"
+
+
+def _passes(order, lengths):
+    """The segment indices ``order`` cut, in order, into lists of at most
+    SEGMENT_BLOCK sample rows; a longer segment is a list of its own."""
+    rows, total = [], 0
+    for i in order:
+        if rows and total + lengths[i] > SEGMENT_BLOCK:
+            yield rows
+            rows, total = [], 0
+        rows.append(i)
+        total += lengths[i]
+    if rows:
+        yield rows
+
+
+def _pass_stats(keys, lengths):
+    """(len(keys), 2, 3, 3) statistics of the (recording, annotation) segments
+    ``keys``, with ``lengths`` of at least 3 samples and never increasing."""
+    x = np.concatenate([r.series.samples[a.start : a.end] for r, a in keys])
+    fs = np.array([r.series.fs for r, _ in keys])[:, None]
+    ends = list(accumulate(lengths))
+    first = np.array(ends) - lengths
+    last = first + lengths - 1
+    # central_difference of every segment: the interior of the whole pass at
+    # once, each row at its segment's fs, then each segment's two end rows
+    jerk = np.empty_like(x)
+    np.subtract(x[2:], x[:-2], out=jerk[1:-1])
+    jerk[1:-1] *= np.repeat(fs / 2.0, lengths, axis=0)[1:-1]
+    jerk[first] = (x[first + 1] - x[first]) * fs
+    jerk[last] = (x[last] - x[last - 1]) * fs
+    runs, lo = [], 0  # (first segment, end segment, length) of equal lengths
+    for n, same in groupby(lengths):
+        runs.append((lo, lo + sum(1 for _ in same), n))
+        lo = runs[-1][1]
+    stats = np.empty((len(keys), len(MEASURES), len(STATISTICS), len(AXES)))
+    for m, values in enumerate((jerk, np.multiply(jerk, jerk, out=x))):
+        stats[:, m, 1] = np.maximum.reduceat(values, first)
+        stats[:, m, 2] = np.minimum.reduceat(values, first)
+        for lo, hi, n in runs:
+            run = values[ends[lo] - n : ends[hi - 1]].reshape(hi - lo, n, len(AXES))
+            np.add.accumulate(run, axis=1, out=run)
+            np.divide(run[:, -1], n, out=stats[lo:hi, m, 0])
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -213,25 +280,28 @@ def load_table(path) -> ReferenceTable:
 
 
 def table_from_records(sset, kind, measure, axis="x", rows=slice(None)) -> ReferenceTable:
-    """Pool ``rows`` of a SmoothnessSet (default all) into one axis's table
-    of ``measure`` ("jerk" or "squared_jerk").
+    """Pool ``rows`` of a SmoothnessSet (default all; a slice, a mask or
+    indices) into one axis's table of ``measure`` ("jerk" or "squared_jerk").
 
     Columns come from each row's group (kind "cohort") or session (kind
     "session").  A cell is the mean of the per-segment means, summed left
     to right in row order, the max of the maxes or the min of the mins.
     Unlike a loaded table, a movement may lack a column that none of its
-    rows has; a mean that overflows float64 is an error.
+    rows has; a mean that overflows float64 is an error.  The rows are
+    grouped into cells in one pass.
     """
-    movements = sset.movements[rows]
-    columns = (sset.groups if kind == "cohort" else sset.sessions)[rows]
-    stats = sset.stats[rows, MEASURES.index(measure), :, _axis_index(axis)]
+    movements = sset.movements[rows].tolist()
+    columns = (sset.groups if kind == "cohort" else sset.sessions)[rows].tolist()
+    stats = sset.stats[rows, MEASURES.index(measure), :, _axis_index(axis)].tolist()
+    pooled = defaultdict(list)  # (movement, column) -> its rows' statistics
+    for cell, row in zip(zip(movements, columns), stats):
+        pooled[cell].append(row)
     values = {}
-    for movement, column in dict.fromkeys(zip(movements.tolist(), columns.tolist())):
-        means, maxima, minima = stats[(movements == movement) & (columns == column)].T
-        # ufunc accumulate adds in order; a 1-D np.mean sums pairwise
-        with np.errstate(over="ignore"):
-            mean = float(np.add.accumulate(means)[-1] / len(means))
-        if not np.isfinite(mean):
+    for (movement, column), cell_rows in pooled.items():
+        means, maxima, minima = zip(*cell_rows)  # each in row order
+        # float adds in order, as ufunc accumulate does; np.mean sums pairwise
+        mean = reduce(operator.add, means) / len(means)
+        if not math.isfinite(mean):
             where = column if kind == "cohort" else f"session {column}"
             raise InvalidDataError(
                 f"pooled {measure} mean of {movement} {where} overflows float64"
@@ -239,10 +309,10 @@ def table_from_records(sset, kind, measure, axis="x", rows=slice(None)) -> Refer
         cells = values.setdefault(movement, {s: {} for s in STATISTICS})
         cells["mean"][column] = mean
         # builtin max and min keep the first of equal values (-0.0 or 0.0)
-        cells["max"][column] = max(maxima.tolist())
-        cells["min"][column] = min(minima.tolist())
+        cells["max"][column] = max(maxima)
+        cells["min"][column] = min(minima)
     if kind == "session":
-        return ReferenceTable(kind, tuple(sorted(set(columns.tolist()))), values)
+        return ReferenceTable(kind, tuple(sorted(set(columns))), values)
     return ReferenceTable(kind, COHORTS, values)
 
 

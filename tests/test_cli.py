@@ -894,14 +894,62 @@ class TestAssessAndReport:
         assert err == "error: pooled squared_jerk mean of M1 session 1 overflows float64\n"
         assert not out.exists() or not list(out.iterdir())
 
+    @pytest.mark.filterwarnings("error")
+    def test_failed_assess_writes_no_report(self, tmp_path, capsys):
+        # four patients whose M1 is a 3-sample spike: each segment's squared
+        # jerk is finite and the jerk tables pool fine, but the patients'
+        # pooled squared-jerk mean of M1 overflows.  No report may be
+        # written, the jerk comparison pooled before it included
+        from kinemotion.dataset import Annotation, Recording, write_recording
+        from kinemotion.kinematics import TimeSeries3D
+
+        spans = [(0, 3, "M1"), (3, 6, "M2"), (6, 9, "M3"), (9, 12, "M4")]
+        for k, group in enumerate(["healthy"] * 4 + ["patient"] * 4):
+            samples = np.zeros((12, 3))
+            if group == "patient":
+                samples[1] = 1.67e152
+            rec = Recording(f"{group[0].upper()}{k}", group, 1, "dominant", "L1",
+                            TimeSeries3D(fs=50.0, samples=samples),
+                            tuple(Annotation(*span) for span in spans))
+            write_recording(rec, tmp_path / "data" / f"r{k}.csv")
+        out = tmp_path / "out"
+        code = run_cli("assess", "--data", str(tmp_path / "data"), "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: pooled squared_jerk mean of M1 patient overflows float64\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_signals_sharing_sidecars_are_a_data_error(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        from kinemotion.dataset import load_dataset_dir, write_recording
+
+        assert run_cli("synth", "--n-per-class", "1", "--seed", "3",
+                       "--out", str(tmp_path / "one")) == 0
+        rec = load_dataset_dir(tmp_path / "one")[0]
+        for stem, subject in (("a.v1", "S1"), ("a.v2", "S2")):
+            write_recording(replace(rec, subject_id=subject), tmp_path / "data" / f"{stem}.csv")
+        code = run_cli("assess", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: signal files a.v1.csv and a.v2.csv share the sidecars "
+            f"a.annotations.csv and a.meta ({tmp_path / 'data'})\n")
+        assert not (tmp_path / "out").exists()
+
     def test_report_that_cannot_render_writes_no_file(self, tmp_path):
-        from kinemotion.cli import _write_report
+        from kinemotion.cli import _write_reports
         from kinemotion.smoothness import COHORTS, STATISTICS, ReferenceTable
 
-        # the CSV holds an infinite cell; strict JSON cannot
+        # the CSV holds an infinite cell; strict JSON cannot.  The finite
+        # report before it is not written either
         cells = {s: {c: float("inf") for c in COHORTS} for s in STATISTICS}
+        finite = {s: {c: 1.0 for c in COHORTS} for s in STATISTICS}
         with pytest.raises(ValueError):
-            _write_report(ReferenceTable("cohort", COHORTS, {"M1": cells}), tmp_path / "out", "t")
+            _write_reports(tmp_path / "out", [
+                (ReferenceTable("cohort", COHORTS, {"M1": finite}), "s"),
+                (ReferenceTable("cohort", COHORTS, {"M1": cells}), "t"),
+            ])
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error")
@@ -914,7 +962,8 @@ class TestAssessAndReport:
              "P1 session 1 M1 [3, 6): jerk statistics overflow float64"),
             (np.arange(3.0)[:, None] * [1e154, 0.0, 0.0],
              "P1 session 1 M1 [3, 6): jerk statistics overflow float64"),
-            ([[0.0] * 3, [1.0] * 3], "segment too short for jerk computation: 2 samples"),
+            ([[0.0] * 3, [1.0] * 3],
+             "P1 session 1 M1 [3, 5): segment too short for jerk computation: 2 samples"),
         ],
         ids=["jerk-overflow", "squared-jerk-overflow", "mean-overflow", "too-short"],
     )

@@ -830,10 +830,19 @@ def reference_parse_recording(path):
 
 
 def reference_load_dataset_dir(directory):
-    """load_dataset_dir as it was: a sorted glob, one reference parse per file."""
-    return [reference_parse_recording(sig)
-            for sig in sorted(Path(directory).glob("*.csv"))
-            if not sig.name.endswith(".annotations.csv")]
+    """load_dataset_dir as it was: a sorted glob, one reference parse per file;
+    since two signal files with one pair of sidecars are refused, it first
+    refuses them too, naming the first such pair in name order."""
+    signals = [sig for sig in sorted(Path(directory).glob("*.csv"))
+               if not sig.name.endswith(".annotations.csv")]
+    owners = {}
+    for sig in signals:
+        _, ann, meta = reference_sidecar_paths(sig)
+        owner = owners.setdefault(ann, sig)
+        if owner is not sig:
+            raise ParseError(f"signal files {owner.name} and {sig.name} share the "
+                             f"sidecars {ann.name} and {meta.name}", path=Path(directory))
+    return [reference_parse_recording(sig) for sig in signals]
 
 
 def field_values(obj):
@@ -937,8 +946,9 @@ _SUFFIX = {"signal": ".csv", "annotations": ".annotations.csv", "meta": ".meta"}
 @st.composite
 def recording_dirs(draw):
     """1-4 written recordings, each with at most one defect; stems drawn with
-    dots now and then, so a sidecar is named past two suffixes."""
-    stems = draw(st.lists(st.sampled_from(["a", "b", "c.v2", "d.x.y", "e."]),
+    dots now and then, so a sidecar is named past two suffixes, and two
+    stems (c and c.v2, d.x.y and d.x.z) now and then share their sidecars."""
+    stems = draw(st.lists(st.sampled_from(["a", "b", "c", "c.v2", "d.x.y", "d.x.z", "e."]),
                           min_size=1, max_size=4, unique=True))
     recs = []
     for k, stem in enumerate(stems):
@@ -1017,6 +1027,28 @@ class TestIngestReference:
         outcome = load_outcome(lambda p: [parse_recording(p)], sig)
         assert outcome == load_outcome(lambda p: [reference_parse_recording(p)], sig)
         assert message in outcome[1]
+
+    def test_signals_sharing_their_sidecars_are_refused(self, tmp_path):
+        # a.v1.csv and a.v2.csv both read a.annotations.csv and a.meta, which
+        # the second write overwrote: loading them would give S2 twice
+        for stem, subject in (("a.v1", "S1"), ("a.v2", "S2")):
+            write_recording(replace(make_recording(n=50), subject_id=subject),
+                            tmp_path / f"{stem}.csv")
+        outcome = load_outcome(load_dataset_dir, tmp_path)
+        assert outcome == load_outcome(reference_load_dataset_dir, tmp_path)
+        assert outcome[:3] == (
+            "ParseError", "signal files a.v1.csv and a.v2.csv share the sidecars "
+            f"a.annotations.csv and a.meta ({tmp_path})", tmp_path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.text(st.sampled_from("ab.-_ \u00e9"), max_size=8))
+    def test_sidecar_stem_follows_the_sidecar_names(self, name):
+        # the collision check keys each signal by the start of its sidecar
+        # names, which must be what _sidecar_paths makes of them
+        path = Path("/data") / f"{name}.csv"
+        _, ann, meta = dataset._sidecar_paths(path)
+        stem = dataset._sidecar_stem(path)
+        assert (ann.name, meta.name) == (f"{stem}.annotations.csv", f"{stem}.meta")
 
     @pytest.mark.parametrize("kind", ["missing", "file"])
     def test_a_path_that_is_not_a_directory_is_named(self, tmp_path, kind):

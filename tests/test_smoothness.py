@@ -3,20 +3,22 @@
 import csv
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinemotion import bundled_table
+from kinemotion import bundled_table, smoothness
 from kinemotion.dataset import KEY_MOVEMENTS, Annotation, Recording, is_key_movement
 from kinemotion.errors import ContractError, DegenerateInputError, InvalidDataError
-from kinemotion.kinematics import TimeSeries3D, differentiate
+from kinemotion.kinematics import AXES, TimeSeries3D, central_difference, differentiate
 from kinemotion.smoothness import (
     COHORTS,
     EQUAL,
     HEALTHY_HIGHER,
+    MEASURES,
     PATIENT_HIGHER,
     STATISTICS,
     ReferenceTable,
@@ -167,6 +169,220 @@ class TestSmoothnessSet:
         assert got.groups.tolist() == [r.group for r, _ in keys]
         assert got.sessions.tolist() == [r.session for r, _ in keys]
         assert got.movements.tolist() == [a.label for _, a in keys]
+
+
+# ---------------------------------------------------------------------------
+# The per-segment smoothness_set and the masked table_from_records that the
+# pass-based and one-grouping versions replaced, kept as their references
+# ---------------------------------------------------------------------------
+
+
+def reference_smoothness_set(recordings):
+    """smoothness_set as it was: one segment at a time in row order, the first
+    segment too short or with overflowing statistics raising."""
+    keys = [(r, a) for r in recordings for a in r.annotations if is_key_movement(a.label)]
+    stats = np.empty((len(keys), 2, 3, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, (rec, a) in zip(stats, keys):
+            n = a.end - a.start
+            where = f"{rec.subject_id} session {rec.session} {a.label} [{a.start}, {a.end})"
+            if n < 3:
+                raise DegenerateInputError(
+                    f"{where}: segment too short for jerk computation: {n} samples"
+                )
+            jerk = central_difference(rec.series.samples[a.start : a.end], rec.series.fs)
+            both = np.stack((jerk, jerk * jerk), axis=1)  # (n, measure, axis)
+            row[:, 0] = np.add.accumulate(both)[-1] / n
+            row[:, 1] = both.max(axis=0)
+            row[:, 2] = both.min(axis=0)
+            if not np.isfinite(row).all():
+                raise InvalidDataError(f"{where}: jerk statistics overflow float64")
+    return SmoothnessSet(
+        stats=stats,
+        subject_ids=np.array([r.subject_id for r, _ in keys], dtype=str),
+        groups=np.array([r.group for r, _ in keys], dtype=str),
+        sessions=np.array([r.session for r, _ in keys], dtype=np.int64),
+        movements=np.array([a.label for _, a in keys], dtype=str),
+    )
+
+
+def reference_table_from_records(sset, kind, measure, axis="x", rows=slice(None)):
+    """table_from_records as it was: one boolean mask per (movement, column)."""
+    movements = sset.movements[rows]
+    columns = (sset.groups if kind == "cohort" else sset.sessions)[rows]
+    stats = sset.stats[rows, MEASURES.index(measure), :, AXES.index(axis)]
+    values = {}
+    for movement, column in dict.fromkeys(zip(movements.tolist(), columns.tolist())):
+        means, maxima, minima = stats[(movements == movement) & (columns == column)].T
+        with np.errstate(over="ignore"):
+            mean = float(np.add.accumulate(means)[-1] / len(means))
+        if not np.isfinite(mean):
+            where = column if kind == "cohort" else f"session {column}"
+            raise InvalidDataError(
+                f"pooled {measure} mean of {movement} {where} overflows float64"
+            )
+        cells = values.setdefault(movement, {s: {} for s in STATISTICS})
+        cells["mean"][column] = mean
+        cells["max"][column] = max(maxima.tolist())
+        cells["min"][column] = min(minima.tolist())
+    if kind == "session":
+        return ReferenceTable(kind, tuple(sorted(set(columns.tolist()))), values)
+    return ReferenceTable(kind, COHORTS, values)
+
+
+def set_bits(sset):
+    """Every array of a SmoothnessSet: dtype and values, floats by their bytes."""
+    labels = (sset.subject_ids, sset.groups, sset.sessions, sset.movements)
+    return (sset.stats.shape, sset.stats.tobytes(),
+            [(a.dtype.str, a.tolist()) for a in labels])
+
+
+def table_bits(table):
+    """A table's kind, columns and cells in insertion order, each value by its
+    type and bits (so -0.0 differs from 0.0)."""
+    return (table.kind, table.columns, [
+        (m, [(s, [(c, type(v).__name__, float(v).hex()) for c, v in cells.items()])
+             for s, cells in stats.items()])
+        for m, stats in table.values.items()
+    ])
+
+
+def outcome(fn, *args, bits):
+    """``bits`` of what ``fn(*args)`` returns, or the type and message of its error."""
+    try:
+        return "ok", bits(fn(*args))
+    except (DegenerateInputError, InvalidDataError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# scale of one segment's samples: some jerk statistics and pooled means overflow
+_OVERFLOW = (1.7e308, 1e200, 1e154)
+
+
+def _segment(rng, kind, n):
+    """(n, 3) samples: small integers with both signed zeros ("ties"), scaled
+    normal draws ("normal"), or draws with one adjacent pair near +-``_OVERFLOW``
+    ("overflow")."""
+    if kind == "ties":
+        x = rng.integers(-2, 3, size=(n, 3)).astype(float)
+        return np.where(x == 0, rng.choice([0.0, -0.0], size=x.shape), x)
+    x = rng.normal(size=(n, 3)) * 10.0 ** int(rng.integers(-3, 4))
+    if kind == "overflow":
+        at = int(rng.integers(n - 1))
+        x[at : at + 2, int(rng.integers(3))] = np.array([1.0, -1.0]) * rng.choice(_OVERFLOW)
+    return x
+
+
+@st.composite
+def long_segment_recordings(draw, faults=False):
+    """One to four recordings of key segments 3 to 400 samples long, among
+    distractors and gaps whose samples overflow a difference taken across a
+    segment's edge.  With ``faults``, some key segments are 1 or 2 samples
+    long and some overflow, in drawn order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    kinds = ["ties", "normal"] + ["short", "overflow"] * faults
+    recordings = []
+    for k in range(draw(st.integers(1, 4), label="recordings")):
+        pieces = draw(st.lists(st.tuples(
+            st.sampled_from(KEY_MOVEMENTS + ("R3", None)), st.sampled_from(kinds),
+            st.one_of(st.integers(3, 12), st.integers(13, 400)),
+        ), min_size=1, max_size=8), label="pieces")
+        chunks, annotations, cursor = [], [], 0
+        for label, kind, n in pieces:
+            if kind == "short" and label in KEY_MOVEMENTS:
+                n = n % 2 + 1
+            if label in KEY_MOVEMENTS:
+                chunks.append(_segment(rng, kind, n))
+            else:
+                chunks.append(rng.choice([1.7e308, -1.7e308, -0.0, 1e300], size=(n, 3)))
+            if label is not None:
+                annotations.append(Annotation(cursor, cursor + n, label))
+            cursor += n
+        group, session = draw(st.sampled_from([("healthy", 1), ("patient", 1), ("patient", 3)]))
+        fs = draw(st.sampled_from([1.0, 0.3, 50.0, 100.0]), label="fs")
+        recordings.append(Recording(f"S{k}", group, session, "dominant", "L1",
+                                    TimeSeries3D(fs=fs, samples=np.vstack(chunks)),
+                                    tuple(annotations)))
+    return recordings
+
+
+class TestPassesMatchReference:
+    """smoothness_set against the per-segment loop it replaced, bit for bit,
+    with passes of 7 and 64 sample rows as well as SEGMENT_BLOCK, so that
+    passes end inside runs of equally long segments and long segments make
+    passes of their own."""
+
+    @pytest.mark.parametrize("block", [7, 64, smoothness.SEGMENT_BLOCK])
+    @settings(max_examples=100, deadline=None)
+    @given(recordings=long_segment_recordings())
+    def test_statistics_match_the_per_segment_reference(self, recordings, block):
+        with mock.patch.object(smoothness, "SEGMENT_BLOCK", block):
+            got = smoothness_set(recordings)
+        assert set_bits(got) == set_bits(reference_smoothness_set(recordings))
+
+    @pytest.mark.parametrize("block", [7, 64, smoothness.SEGMENT_BLOCK])
+    @settings(max_examples=150, deadline=None)
+    @given(recordings=long_segment_recordings(faults=True))
+    def test_first_fault_in_row_order_is_the_one_raised(self, recordings, block):
+        # a too-short segment and an overflowing one, in either order: the
+        # same exception type and message as the reference, or the same set
+        with mock.patch.object(smoothness, "SEGMENT_BLOCK", block):
+            got = outcome(smoothness_set, recordings, bits=set_bits)
+        assert got == outcome(reference_smoothness_set, recordings, bits=set_bits)
+
+    @pytest.mark.parametrize("order", ["short first", "overflow first"])
+    def test_a_too_short_segment_is_named(self, order):
+        samples = np.vstack([np.zeros((3, 3)), [[0.0] * 3, [1e308] * 3, [-1e308] * 3],
+                             np.zeros((4, 3))])
+        short, overflow = Annotation(0, 2, "M3"), Annotation(3, 6, "M1")
+        if order == "overflow first":
+            short = Annotation(8, 10, "M3")
+        rec = Recording("P4", "patient", 2, "dominant", "L1",
+                        TimeSeries3D(fs=50.0, samples=samples), (short, overflow))
+        want = outcome(reference_smoothness_set, [rec], bits=set_bits)
+        assert outcome(smoothness_set, [rec], bits=set_bits) == want
+        assert want[1] == (
+            f"P4 session 2 M3 [{short.start}, {short.end}): segment too short for "
+            "jerk computation: 2 samples" if order == "short first" else
+            "P4 session 2 M1 [3, 6): jerk statistics overflow float64")
+
+
+@st.composite
+def record_sets(draw):
+    """A SmoothnessSet of 1 to 60 rows over two subjects, both groups,
+    sessions 1-4 and the four movements; statistics with signed zeros, ties
+    and, in some sets, values near the float64 limit, so that some pooled
+    means overflow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = draw(st.integers(1, 60), label="rows")
+    huge = draw(st.sampled_from([0.0, 0.02, 0.2]), label="share near the limit")
+    palette = rng.choice([0.0, -0.0, 1.0, 2.0], size=(n, 2, 3, 3))
+    stats = np.where(rng.random(palette.shape) < 0.5, palette, rng.normal(size=palette.shape))
+    near_limit = rng.random(palette.shape) < huge
+    stats[near_limit] = rng.choice([1e308, -1e308], size=int(near_limit.sum()))
+    return SmoothnessSet(stats=stats,
+                         subject_ids=rng.choice(["P1", "P2"], size=n),
+                         groups=rng.choice(list(COHORTS), size=n),
+                         sessions=rng.choice([1, 2, 3, 4], size=n),
+                         movements=rng.choice(list(KEY_MOVEMENTS), size=n))
+
+
+class TestTablesMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(sset=record_sets(), data=st.data())
+    def test_tables_match_the_masked_reference(self, sset, data):
+        n = len(sset.movements)
+        rows = data.draw(st.one_of(
+            st.just(slice(None)),
+            st.lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+            st.sets(st.integers(0, n - 1)).map(sorted),
+        ), label="rows")
+        kind = data.draw(st.sampled_from(["cohort", "session"]), label="kind")
+        measure = data.draw(st.sampled_from(MEASURES), label="measure")
+        axis = data.draw(st.sampled_from(AXES), label="axis")
+        args = (sset, kind, measure, axis, rows)
+        assert outcome(table_from_records, *args, bits=table_bits) == outcome(
+            reference_table_from_records, *args, bits=table_bits)
 
 
 class TestAggregation:
