@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -151,13 +152,20 @@ def _write_reports(out_dir, reports):
     behind."""
     texts = [(stem, render_report(obj, "csv"), render_report(obj, "json"))
              for obj, stem in reports]
+    if not texts:
+        return
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # str paths, each the text of out_dir / name: pathlib interns every name
+    # it joins, and the names dead after each command fill the interpreter's
+    # interned-string table until its rebuild, a transient of about 1 MiB
+    directory = str(out_dir) if out_dir.parts else ""
     for stem, csv_text, json_text in texts:
-        csv_path = out_dir / f"{stem}.csv"
-        json_path = out_dir / f"{stem}.json"
-        csv_path.write_text(csv_text, encoding="utf-8")
-        json_path.write_text(json_text, encoding="utf-8")
+        csv_path = os.path.join(directory, f"{stem}.csv")
+        json_path = os.path.join(directory, f"{stem}.json")
+        for path, text in ((csv_path, csv_text), (json_path, json_text)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
         print(f"wrote {csv_path} and {json_path}")
 
 

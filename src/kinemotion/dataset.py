@@ -169,7 +169,11 @@ class SplitConfig:
 
 
 def _sidecar_paths(path):
-    path = Path(path)
+    if not isinstance(path, Path):
+        # Path(path) of a Path would parse it again and intern its name: the
+        # names dead after each command fill the interpreter's interned-string
+        # table, whose rebuild is a transient of about 1 MiB
+        path = Path(path)
     stem = path.with_suffix("")
     return path, stem.with_suffix(".annotations.csv"), stem.with_suffix(".meta")
 
@@ -516,11 +520,9 @@ def write_recording(rec: Recording, path) -> None:
 
 
 def _sidecar_stem(path):
-    """What both sidecar names of signal file ``path`` start with, as
-    :func:`_sidecar_paths` derives them: ``a`` for ``a.csv`` and ``a.v1.csv``."""
-    name = path.name
-    if name.count(".") == 1 and not name.startswith("."):
-        return name[:-4]  # pathlib finds no second suffix to take off
+    """What both sidecar names of signal file ``path`` start with: the name
+    without the suffix that :func:`_sidecar_paths` replaces, ``a`` for
+    ``a.csv`` and ``a.v1.csv``."""
     return path.with_suffix("").with_suffix("").name
 
 

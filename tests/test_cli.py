@@ -3,6 +3,7 @@
 import json
 import shutil
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -919,6 +920,40 @@ class TestAssessAndReport:
         assert captured.err == "error: pooled squared_jerk mean of M1 patient overflows float64\n"
         assert captured.out == ""
         assert not out.exists()
+
+    def test_healthy_only_data_writes_no_directory(self, tmp_path, capsys):
+        # no cohort to compare and no patient: nothing to report, so --out
+        # is not created
+        assert run_cli("synth", "--n-per-class", "2", "--seed", "4",
+                       "--healthy-fraction", "1", "--out", str(tmp_path / "data")) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli("assess", "--data", str(tmp_path / "data"), "--out", str(out)) == 0
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    def test_assess_interns_no_file_name(self, tmp_path, monkeypatch, capsys):
+        # pathlib interns every name it parses.  Names that die after each
+        # command fill the interpreter's interned-string table until its
+        # rebuild, a transient of about 1 MiB that raises the peak memory of
+        # a long run, so a command interns only the parts of its two paths
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert run_cli("synth", "--n-per-class", "2", "--seed", "4",
+                       "--out", str(data)) == 0
+        interned, intern = [], sys.intern
+        monkeypatch.setattr(sys, "intern", lambda s: interned.append(s) or intern(s))
+        assert run_cli("assess", "--data", str(data), "--out", str(out)) == 0
+        assert interned and set(interned) <= set(data.parts) | set(out.parts)
+
+    def test_reports_print_their_paths_as_pathlib_joins_them(self, tmp_path, monkeypatch,
+                                                            capsys):
+        monkeypatch.chdir(tmp_path)
+        table = str(bundled_table("cohort_jerk"))
+        for out, shown in ((".", "cohort_comparison"), ("a//b/", "a/b/cohort_comparison")):
+            capsys.readouterr()
+            assert run_cli("assess", "--fixtures", table, "--out", out) == 0
+            assert capsys.readouterr().out == f"wrote {shown}.csv and {shown}.json\n"
+            assert (tmp_path / f"{shown}.json").is_file()
 
     def test_signals_sharing_sidecars_are_a_data_error(self, tmp_path, capsys):
         from dataclasses import replace
